@@ -27,6 +27,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/rounds"
 	"repro/internal/stream"
+	"repro/internal/task"
 )
 
 // benchExperiment runs a registered experiment end-to-end per iteration.
@@ -275,12 +276,12 @@ func BenchmarkClusterVsStream(b *testing.B) {
 	b.Run("cluster", func(b *testing.B) {
 		comm := 0
 		for i := 0; i < b.N; i++ {
-			m, st, err := cluster.Matching(context.Background(), stream.NewGraphSource(g),
-				cluster.Config{Workers: addrs, Seed: uint64(i + 1)})
+			sol, st, err := cluster.Solve(context.Background(), stream.NewGraphSource(g),
+				cluster.Config{Workers: addrs, Seed: uint64(i + 1)}, task.MustGet("matching"), task.Params{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if m.Size() == 0 {
+			if sol.Matching.Size() == 0 {
 				b.Fatal("empty matching")
 			}
 			comm = st.TotalCommBytes

@@ -15,6 +15,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/stream"
+	"repro/internal/task"
 )
 
 // workerProcEnv diverts the test binary into worker mode, which is how the
@@ -159,7 +160,7 @@ func TestClusterChaosSIGKILL(t *testing.T) {
 		MaxRetries:   3,
 		RetryBackoff: 10 * time.Millisecond,
 	}
-	sess, err := cluster.DialEDCSRounds(context.Background(), cfg, p, 2, g.N)
+	sess, err := cluster.OpenSession(cfg, task.MustGet("edcs"), task.Params{EDCS: p}, 2, g.N)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,12 +153,15 @@
 // matching is composed over the last (much smaller) union. Round 0 uses the
 // root seed, so a rounds=1 run reproduces the single-round EDCS pipeline
 // bit for bit, and the whole schedule is seed-parity-checked across batch,
-// stream and cluster. In cluster mode one reused session drives all rounds:
-// the worker connections are dialed once, a single HELLO carries the round
-// cap (task byte 4 on the same protocol version), each round is a
-// SHARD*/EOS/CORESET exchange with a fresh per-round EDCS machine, and
-// every round's communication is measured off the TCP connections into the
-// run report's per-round breakdown (graph.RunReport.RoundStats). The driver
+// stream and cluster. In cluster mode one cluster.Session drives all rounds
+// — the same conversation engine a single-round cluster.Solve runs for one
+// round: each worker connection is dialed on first use, its one HELLO
+// carries the round cap (task byte 4 on the same protocol version), each
+// round is a SHARD*/EOS/CORESET exchange with a fresh per-round EDCS
+// machine, a worker lost in any round is replayed under the same retry
+// budget, and every round's communication is measured off the TCP
+// connections into the run report's per-round breakdown
+// (graph.RunReport.RoundStats). The driver
 // is exposed as cmd/coreset -rounds N, the service job field "rounds"
 // (folded into the result-cache key), cmd/coresetload -rounds, experiment
 // E22 (rounds vs quality vs communication) and BenchmarkMultiRoundEDCS

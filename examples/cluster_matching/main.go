@@ -17,6 +17,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/rng"
 	"repro/internal/stream"
+	"repro/internal/task"
 )
 
 func main() {
@@ -34,10 +35,11 @@ func main() {
 	fmt.Printf("started %d workers: %v\n", k, addrs)
 
 	src := stream.NewIterSource(n, func() gen.EdgeIter { return gen.GNPIter(n, deg/n, rng.New(seed)) })
-	m, st, err := cluster.Matching(context.Background(), src, cluster.Config{Workers: addrs, Seed: seed})
+	sol, st, err := cluster.Solve(context.Background(), src, cluster.Config{Workers: addrs, Seed: seed}, task.MustGet("matching"), task.Params{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	m := sol.Matching
 	fmt.Printf("cluster:    matching %d edges over %d edges total\n", m.Size(), st.EdgesTotal)
 	fmt.Printf("            measured comm %d B (max machine %d B), estimate %d B, shard traffic %d B\n",
 		st.TotalCommBytes, st.MaxMachineBytes, st.EstCommBytes, st.ShardBytes)

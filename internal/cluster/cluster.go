@@ -7,18 +7,21 @@
 //	                                  ^                      |
 //	              coordinator --------+---- CORESET frames --+--> composition
 //
-// The coordinator (this package's Matching/VertexCover) consumes any
-// stream.EdgeSource, routes every edge with the same seeded
+// The coordinator is one conversation engine, Session: Solve runs any
+// registered task descriptor as a one-round session, and the multi-round
+// MPC driver (internal/rounds) runs the same session for several rounds.
+// It consumes any stream.EdgeSource, routes every edge with the same seeded
 // partition.HashAssign the in-process runtime uses — so a cluster run is
 // bit-for-bit identical to the streaming and batch pipelines for the same
 // (graph, seed, k) — and fans edge batches out over a compact length-prefixed
-// binary protocol (wire.go: typed HELLO/ACK/SHARD/EOS/CORESET/ERROR frames,
-// varint delta-encoded edge batches shared with graph.AppendEdgeBatch).
-// Each worker hosts a stream.Machine — the very builders the in-process
-// pipeline runs — and answers with one CORESET frame. The coordinator
-// composes the summaries with the same core composition and reports both the
-// measured wire bytes (TotalCommBytes/MaxMachineBytes) and the simulated
-// estimate (EstCommBytes) side by side.
+// binary protocol (wire.go: typed HELLO/ACK/SHARD/EOS/TELEM/CORESET/ERROR
+// frames, varint delta-encoded edge batches shared with
+// graph.AppendEdgeBatch). Each worker hosts a fresh stream.Machine per round
+// — the very builders the in-process pipeline runs — and answers every
+// round with one CORESET frame. The coordinator composes the summaries with
+// the task's own composition and reports both the measured wire bytes
+// (TotalCommBytes/MaxMachineBytes) and the simulated estimate (EstCommBytes)
+// side by side.
 //
 // Backpressure is per worker: every connection has a bounded batch channel
 // and a blocking TCP write path, so a slow worker throttles only its own

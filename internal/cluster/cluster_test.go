@@ -13,6 +13,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/rng"
 	"repro/internal/stream"
+	"repro/internal/task"
 	"repro/internal/vcover"
 )
 
@@ -65,7 +66,7 @@ func TestSeedParityAcrossRuntimes(t *testing.T) {
 
 			switch tc.task {
 			case "matching":
-				sums, _, err := run(ctx, src, cfg, taskMatching, edcs.Params{})
+				sums, _, err := runOnce(ctx, src, cfg, task.MustGet("matching"), task.Params{})
 				if err != nil {
 					t.Fatalf("matching seed %d: %v", seed, err)
 				}
@@ -81,24 +82,24 @@ func TestSeedParityAcrossRuntimes(t *testing.T) {
 					}
 				}
 				// Composed solutions agree across all three runtimes.
-				cm, cst, err := Matching(ctx, stream.NewGraphSource(g), cfg)
+				csol, cst, err := Solve(ctx, stream.NewGraphSource(g), cfg, task.MustGet("matching"), task.Params{})
 				if err != nil {
 					t.Fatalf("matching seed %d: %v", seed, err)
 				}
-				if err := matching.Verify(g.N, g.Edges, cm); err != nil {
+				if err := matching.Verify(g.N, g.Edges, csol.Matching); err != nil {
 					t.Fatalf("seed %d: cluster matching invalid: %v", seed, err)
 				}
 				sm, sst, err := stream.Matching(stream.NewGraphSource(g), stream.Config{K: k, Seed: seed})
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				if !reflect.DeepEqual(cm.Edges(), sm.Edges()) {
+				if !reflect.DeepEqual(csol.Matching.Edges(), sm.Edges()) {
 					t.Fatalf("seed %d: cluster matching differs from stream", seed)
 				}
 				checkMeasuredBytes(t, cst, sst.TotalCommBytes)
 
 			case "edcs":
-				sums, _, err := run(ctx, src, cfg, taskEDCS, edcsP)
+				sums, _, err := runOnce(ctx, src, cfg, task.MustGet("edcs"), task.Params{EDCS: edcsP})
 				if err != nil {
 					t.Fatalf("edcs seed %d: %v", seed, err)
 				}
@@ -110,18 +111,18 @@ func TestSeedParityAcrossRuntimes(t *testing.T) {
 						t.Fatalf("seed %d machine %d: cluster EDCS differs from batch", seed, i)
 					}
 				}
-				cm, cst, err := EDCS(ctx, stream.NewGraphSource(g), cfg, edcsP)
+				csol, cst, err := Solve(ctx, stream.NewGraphSource(g), cfg, task.MustGet("edcs"), task.Params{EDCS: edcsP})
 				if err != nil {
 					t.Fatalf("edcs seed %d: %v", seed, err)
 				}
-				if err := matching.Verify(g.N, g.Edges, cm); err != nil {
+				if err := matching.Verify(g.N, g.Edges, csol.Matching); err != nil {
 					t.Fatalf("seed %d: cluster EDCS matching invalid: %v", seed, err)
 				}
 				sm, sst, err := stream.EDCS(stream.NewGraphSource(g), stream.Config{K: k, Seed: seed}, edcsP)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				if !reflect.DeepEqual(cm.Edges(), sm.Edges()) {
+				if !reflect.DeepEqual(csol.Matching.Edges(), sm.Edges()) {
 					t.Fatalf("seed %d: cluster EDCS matching differs from stream", seed)
 				}
 				checkMeasuredBytes(t, cst, sst.TotalCommBytes)
@@ -132,7 +133,7 @@ func TestSeedParityAcrossRuntimes(t *testing.T) {
 				// in-process streaming oracle for the same (input, k, seed) —
 				// including round 1, whose input is round 0's union — and every
 				// round's bytes are measured.
-				sess, err := DialEDCSRounds(ctx, cfg, edcsP, 2, g.N)
+				sess, err := OpenSession(cfg, task.MustGet("edcs"), task.Params{EDCS: edcsP}, 2, g.N)
 				if err != nil {
 					t.Fatalf("edcs-rounds seed %d: %v", seed, err)
 				}
@@ -175,7 +176,7 @@ func TestSeedParityAcrossRuntimes(t *testing.T) {
 				}
 
 			case "vc":
-				sums, _, err := run(ctx, src, cfg, taskVC, edcs.Params{})
+				sums, _, err := runOnce(ctx, src, cfg, task.MustGet("vc"), task.Params{})
 				if err != nil {
 					t.Fatalf("vc seed %d: %v", seed, err)
 				}
@@ -185,19 +186,19 @@ func TestSeedParityAcrossRuntimes(t *testing.T) {
 						t.Fatalf("seed %d machine %d: cluster VC coreset differs from batch:\ngot  %+v\nwant %+v", seed, i, sums[i].VC, want)
 					}
 				}
-				cc, cst, err := VertexCover(ctx, stream.NewGraphSource(g), cfg)
+				csol, cst, err := Solve(ctx, stream.NewGraphSource(g), cfg, task.MustGet("vc"), task.Params{})
 				if err != nil {
 					t.Fatalf("vc seed %d: %v", seed, err)
 				}
-				if err := vcover.Verify(g.N, g.Edges, cc); err != nil {
+				if err := vcover.Verify(g.N, g.Edges, csol.Cover); err != nil {
 					t.Fatalf("seed %d: cluster cover infeasible: %v", seed, err)
 				}
 				sc, sst, err := stream.VertexCover(stream.NewGraphSource(g), stream.Config{K: k, Seed: seed})
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				if !reflect.DeepEqual(cc, sc) {
-					t.Fatalf("seed %d: cluster cover differs from stream (%d vs %d vertices)", seed, len(cc), len(sc))
+				if !reflect.DeepEqual(csol.Cover, sc) {
+					t.Fatalf("seed %d: cluster cover differs from stream (%d vs %d vertices)", seed, len(csol.Cover), len(sc))
 				}
 				checkMeasuredBytes(t, cst, sst.TotalCommBytes)
 			}
@@ -243,7 +244,7 @@ func TestClusterUnknownN(t *testing.T) {
 	const k = 3
 	g := parityGraph(9, 400, 30)
 	addrs := startWorkers(t, k)
-	cc, _, err := VertexCover(context.Background(), &unknownNSource{stream.NewGraphSource(g)}, Config{Workers: addrs, Seed: 9})
+	csol, _, err := Solve(context.Background(), &unknownNSource{stream.NewGraphSource(g)}, Config{Workers: addrs, Seed: 9}, task.MustGet("vc"), task.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestClusterUnknownN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(cc, sc) {
+	if !reflect.DeepEqual(csol.Cover, sc) {
 		t.Fatal("cluster cover differs from stream with undeclared n")
 	}
 }
@@ -261,22 +262,22 @@ func TestClusterUnknownN(t *testing.T) {
 func TestClusterEmptyStream(t *testing.T) {
 	addrs := startWorkers(t, 2)
 	cfg := Config{Workers: addrs, Seed: 1}
-	m, st, err := Matching(context.Background(), stream.NewSliceSource(0, nil), cfg)
+	sol, st, err := Solve(context.Background(), stream.NewSliceSource(0, nil), cfg, task.MustGet("matching"), task.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Size() != 0 || st.EdgesTotal != 0 {
-		t.Fatalf("empty stream produced size %d, %d edges", m.Size(), st.EdgesTotal)
+	if sol.Matching.Size() != 0 || st.EdgesTotal != 0 {
+		t.Fatalf("empty stream produced size %d, %d edges", sol.Matching.Size(), st.EdgesTotal)
 	}
 	if st.TotalCommBytes <= 0 {
 		t.Fatal("even empty coresets cross the wire; measured bytes must be nonzero")
 	}
-	cover, _, err := VertexCover(context.Background(), stream.NewSliceSource(0, nil), cfg)
+	sol, _, err = Solve(context.Background(), stream.NewSliceSource(0, nil), cfg, task.MustGet("vc"), task.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cover) != 0 {
-		t.Fatalf("empty stream produced cover of %d", len(cover))
+	if len(sol.Cover) != 0 {
+		t.Fatalf("empty stream produced cover of %d", len(sol.Cover))
 	}
 }
 
@@ -286,15 +287,15 @@ func TestClusterBatchSizes(t *testing.T) {
 	addrs := startWorkers(t, 3)
 	var want []graph.Edge
 	for i, bs := range []int{0, 1, 7, 4096} {
-		m, _, err := Matching(context.Background(), stream.NewGraphSource(g), Config{Workers: addrs, Seed: 5, BatchSize: bs})
+		sol, _, err := Solve(context.Background(), stream.NewGraphSource(g), Config{Workers: addrs, Seed: 5, BatchSize: bs}, task.MustGet("matching"), task.Params{})
 		if err != nil {
 			t.Fatalf("batch %d: %v", bs, err)
 		}
 		if i == 0 {
-			want = m.Edges()
+			want = sol.Matching.Edges()
 			continue
 		}
-		if !reflect.DeepEqual(m.Edges(), want) {
+		if !reflect.DeepEqual(sol.Matching.Edges(), want) {
 			t.Fatalf("batch %d: matching differs from default batch size", bs)
 		}
 	}
@@ -313,8 +314,8 @@ func TestWorkerServesManyRuns(t *testing.T) {
 	errs := make(chan error, 6)
 	for i := 0; i < 6; i++ {
 		go func() {
-			m, _, err := Matching(context.Background(), stream.NewGraphSource(g), Config{Workers: addrs, Seed: 7})
-			if err == nil && m.Size() != want.Size() {
+			sol, _, err := Solve(context.Background(), stream.NewGraphSource(g), Config{Workers: addrs, Seed: 7}, task.MustGet("matching"), task.Params{})
+			if err == nil && sol.Matching.Size() != want.Size() {
 				err = &WorkerError{Err: errNotEqual}
 			}
 			errs <- err
@@ -334,10 +335,10 @@ type errSentinel string
 func (e errSentinel) Error() string { return string(e) }
 
 func TestConfigValidation(t *testing.T) {
-	if _, _, err := Matching(context.Background(), nil, Config{Workers: []string{"x"}}); err == nil {
+	if _, _, err := Solve(context.Background(), nil, Config{Workers: []string{"x"}}, task.MustGet("matching"), task.Params{}); err == nil {
 		t.Fatal("nil source accepted")
 	}
-	if _, _, err := Matching(context.Background(), stream.NewSliceSource(0, nil), Config{}); err == nil {
+	if _, _, err := Solve(context.Background(), stream.NewSliceSource(0, nil), Config{}, task.MustGet("matching"), task.Params{}); err == nil {
 		t.Fatal("empty worker list accepted")
 	}
 }

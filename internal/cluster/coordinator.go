@@ -11,9 +11,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/edcs"
 	"repro/internal/graph"
-	"repro/internal/matching"
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/stream"
@@ -25,117 +23,213 @@ import (
 // collect the per-machine summaries the descriptor's builders produced on
 // the other side of the wire, and compose the final solution from their
 // union — exactly the in-process stream.Solve, with the machines remote. It
-// is the single dispatch point of the cluster runtime; the task-named entry
-// points below are thin wrappers over it.
+// is a one-round Session: open with no round cap, run one Round, Close, then
+// compose.
 func Solve(ctx context.Context, src stream.EdgeSource, cfg Config, d *task.Descriptor, p task.Params) (task.Solution, *Stats, error) {
-	if d.Validate != nil {
-		if err := d.Validate(p); err != nil {
-			return task.Solution{}, nil, err
-		}
-	}
 	start := time.Now()
-	sums, st, err := run(ctx, src, cfg, d.Wire, p.EDCS)
+	sums, st, err := runOnce(ctx, src, cfg, d, p)
 	if err != nil {
 		return task.Solution{}, nil, err
-	}
-	for _, s := range sums {
-		n := d.CoresetLen(s)
-		st.CoresetEdges = append(st.CoresetEdges, n)
-		if d.FixedLen != nil {
-			st.CoresetFixed = append(st.CoresetFixed, d.FixedLen(s))
-		}
-		st.CompositionEdges += n
 	}
 	sol := d.Compose(st.N, sums)
 	st.Duration = time.Since(start)
 	return sol, st, nil
 }
 
-// Matching runs the Theorem 1 pipeline across the configured workers:
-// hash-shard the source's edges over the k worker connections, collect the
-// per-machine maximum-matching coresets, and compose a maximum matching of
-// their union — exactly the in-process stream.Matching, with the machines on
-// the other side of a wire.
-func Matching(ctx context.Context, src stream.EdgeSource, cfg Config) (*matching.Matching, *Stats, error) {
-	sol, st, err := Solve(ctx, src, cfg, task.MustGet("matching"), task.Params{})
-	if err != nil {
-		return nil, nil, err
-	}
-	return sol.Matching, st, nil
-}
-
-// EDCS runs the EDCS coreset pipeline (arXiv:1711.03076) across the
-// configured workers: each worker maintains a dynamic edge-degree
-// constrained subgraph of its shard and answers with the sorted H edge
-// list; the coordinator composes a maximum matching of the union. The
-// degree constraints travel in the HELLO frame, so the worker machines are
-// parameterized identically to an in-process run.
-func EDCS(ctx context.Context, src stream.EdgeSource, cfg Config, p edcs.Params) (*matching.Matching, *Stats, error) {
-	sol, st, err := Solve(ctx, src, cfg, task.MustGet("edcs"), task.Params{EDCS: p})
-	if err != nil {
-		return nil, nil, err
-	}
-	return sol.Matching, st, nil
-}
-
-// VertexCover runs the Theorem 2 pipeline across the configured workers and
-// returns the composed cover.
-func VertexCover(ctx context.Context, src stream.EdgeSource, cfg Config) ([]graph.ID, *Stats, error) {
-	sol, st, err := Solve(ctx, src, cfg, task.MustGet("vc"), task.Params{})
-	if err != nil {
-		return nil, nil, err
-	}
-	return sol.Cover, st, nil
-}
-
-// workerResult is one machine's outcome: its decoded summary plus the
-// measured wire traffic in both directions, or the error that ended it.
-type workerResult struct {
-	machine int
-	sum     stream.Summary
-	wire    int          // measured CORESET frame bytes (worker -> coordinator)
-	sent    int          // measured HELLO+SHARD+EOS bytes (coordinator -> worker)
-	telem   *workerTelem // decoded TELEM payload; nil when the worker omitted it
-	err     error
-}
-
-// run drives one cluster run: the caller's goroutine reads the source and
-// shards by partition.HashAssign, one goroutine per worker speaks the wire
-// protocol (dial, HELLO/ACK, SHARD stream with TCP backpressure, EOS after
-// the final vertex count is known, CORESET back). The close(nReady) edge
-// publishes nFinal to the connection goroutines exactly as in stream.run.
-//
-// Failure handling depends on the failure: a retryable worker failure
-// (dial, connection drop, stalled frame) in a run configured for replay
-// (MaxRetries > 0 with a stream.Restartable source) lets the sharder and
-// the healthy machines finish, then replays only the failed machines
-// (retry.go); anything else cancels the internal context (stopping the
-// sharder at the next batch boundary) and is returned as a typed
-// *WorkerError — concurrent real failures joined behind the causally first
-// one. Caller cancellation force-closes the connections, so no goroutine
-// can stay blocked on the network. Every exit path closes the batch
-// channels and waits for the connection goroutines, so run never leaks.
-// ep carries the EDCS degree constraints for taskEDCS (zero otherwise).
-func run(ctx context.Context, src stream.EdgeSource, cfg Config, tb byte, ep edcs.Params) ([]stream.Summary, *Stats, error) {
+// runOnce is Solve before composition: a session with no round cap, whose
+// HELLO declares the vertex count exactly when src does, runs one Round
+// over the whole fleet and is closed.
+func runOnce(ctx context.Context, src stream.EdgeSource, cfg Config, d *task.Descriptor, p task.Params) ([]stream.Summary, *Stats, error) {
 	if src == nil {
 		return nil, nil, errors.New("cluster: nil source")
 	}
+	n, known := 0, src.KnownUpfront()
+	if known {
+		n = src.NumVertices()
+	}
+	s, err := openSession(cfg, d, p, 0, known, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer s.Close()
+	return s.Round(ctx, src, s.k, cfg.Seed)
+}
+
+// Session is one cluster conversation over a worker fleet — the coordinator
+// side of the paper's simultaneous round, and of the multi-round MPC driver
+// (arXiv:1711.03076, internal/rounds) that repeats that round on the union
+// of the previous round's coresets. Each Round shards its input over the
+// first k workers with the seeded partition.HashAssign every runtime uses,
+// collects one CORESET frame per active machine, and leaves the connections
+// open for the next round. A machine with no live connection dials and
+// speaks its HELLO inside its own round goroutine, so a refused dial is an
+// ordinary worker failure of that round.
+//
+// A session opened with no round cap is a single-round assignment: its
+// HELLO carries the task's Wire byte, each worker answers one round, and
+// the session runs exactly one Round (that is Solve). A capped session's
+// HELLO carries the WireRounds byte and the rounds still owed; workers
+// dropped by a shrinking schedule (k decreases between rounds) see no
+// frames until Close ends the run at a round boundary.
+//
+// Communication is measured per round off the live connections: each
+// Round's Stats carries the measured CORESET frame bytes
+// (TotalCommBytes/MaxMachineBytes), the simulated estimate
+// (EstCommBytes/EstMaxMachineBytes) and the coordinator-to-worker traffic
+// (ShardBytes, which includes the HELLO of every connection the round
+// opened, so summing rounds accounts for every coordinator-to-worker byte
+// of the run; workers' ACK frames are not counted).
+//
+// A session is single-flight: Round may not be called concurrently. With
+// Config.MaxRetries > 0 and a restartable round input, a retryable worker
+// failure is recovered in place (retry.go): the broken connection is
+// retired, the worker (or a Config.Spares standby) is re-dialed with a
+// fresh HELLO, and only the current round is replayed — the replacement
+// connection then serves the remaining rounds. Any unrecovered round error
+// (non-retryable failure, exhausted retries, source error, cancellation)
+// poisons the session; Close is the only valid call after that.
+type Session struct {
+	cfg       Config
+	d         *task.Descriptor
+	p         task.Params
+	k         int  // fleet size: the most machines a round may use
+	roundCap  int  // 0: single-round assignment
+	known     bool // HELLO: vertex count declared upfront
+	n         int  // HELLO: the declared vertex count
+	roundsRun int
+	conns     []net.Conn // live connection per machine; nil until dialed
+	addrs     []string   // current address per machine; replay rotates in spares
+	spares    []string
+	broken    bool
+	closed    bool
+}
+
+// OpenSession prepares a session running task d with parameters p over
+// cfg's worker fleet. It opens no connection: each machine dials on the
+// first Round that uses it. roundCap 0 opens a single-round assignment;
+// roundCap in [1, 1024] opens a multi-round one of at most that many rounds
+// (the workers pin the cap; the driver's early exit may stop sooner), which
+// the task must support (d.WireRounds != 0). nHint > 0 declares the vertex
+// count upfront; it never changes the result.
+func OpenSession(cfg Config, d *task.Descriptor, p task.Params, roundCap, nHint int) (*Session, error) {
+	return openSession(cfg, d, p, roundCap, nHint > 0, nHint)
+}
+
+func openSession(cfg Config, d *task.Descriptor, p task.Params, roundCap int, known bool, n int) (*Session, error) {
+	if d.Validate != nil {
+		if err := d.Validate(p); err != nil {
+			return nil, err
+		}
+	}
 	k := len(cfg.Workers)
 	if k == 0 {
-		return nil, nil, errors.New("cluster: config needs at least one worker address")
+		return nil, errors.New("cluster: config needs at least one worker address")
+	}
+	if roundCap < 0 || roundCap > maxWireRounds {
+		return nil, fmt.Errorf("cluster: round cap %d outside [0, %d]", roundCap, maxWireRounds)
+	}
+	if roundCap > 0 && d.WireRounds == 0 {
+		return nil, fmt.Errorf("cluster: task %s has no multi-round assignment", d.Name)
+	}
+	return &Session{
+		cfg: cfg, d: d, p: p, k: k, roundCap: roundCap, known: known, n: n,
+		conns:  make([]net.Conn, k),
+		addrs:  append([]string(nil), cfg.Workers...),
+		spares: append([]string(nil), cfg.Spares...),
+	}, nil
+}
+
+// hello mints machine m's HELLO — the only place one is built. A
+// single-round session sends the task's Wire byte and no rounds field; a
+// capped session sends WireRounds and the rounds still owed, current round
+// included, so a connection dialed (or re-dialed by a replay) mid-run agrees
+// with the coordinator's bookkeeping.
+func (s *Session) hello(m int) hello {
+	h := hello{
+		version: protocolVersion, task: s.d.Wire,
+		machine: m, k: s.k, known: s.known, n: s.n,
+		edcs: s.p.EDCS, telem: true, runID: s.cfg.RunID,
+	}
+	if s.roundCap > 0 {
+		h.task, h.rounds = s.d.WireRounds, s.roundCap-s.roundsRun
+	}
+	return h
+}
+
+// handshake dials machine m's current address and speaks its HELLO/ACK,
+// under ctx (cancellation force-closes the connection) and the per-frame
+// IOTimeout. It is the one place the coordinator opens a worker connection:
+// the round fan-out and the replay waves both come through here. On failure
+// the connection is closed and the typed failure returned; sent counts the
+// HELLO bytes that reached the wire either way.
+func (s *Session) handshake(ctx context.Context, m int) (net.Conn, int, *WorkerError) {
+	addr := s.addrs[m]
+	fail := func(kind FailureKind, err error) *WorkerError {
+		return &WorkerError{Machine: m, Addr: addr, Kind: kind, Retryable: kind.retryable(), Err: err}
+	}
+	obs.Count(s.cfg.Obs, MetricDialAttempts, 1)
+	dialer := net.Dialer{Timeout: s.cfg.dialTimeout()}
+	conn, err := dialer.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return nil, 0, fail(KindDial, err)
+	}
+	stopWatch := closeOnCancel(ctx, conn)
+	defer stopWatch()
+	iot := s.cfg.ioTimeout()
+	sent, err := writeFrameDeadline(conn, iot, frameHello, encodeHello(s.hello(m)))
+	countSent(s.cfg.Obs, m, sent, err)
+	if err != nil {
+		conn.Close()
+		return nil, sent, fail(ioKind(err), fmt.Errorf("handshake: %w", err))
+	}
+	if kind, err := readAck(conn, iot); err != nil {
+		conn.Close()
+		return nil, sent, fail(kind, err)
+	}
+	return conn, sent, nil
+}
+
+// Round runs one round over the first k workers: shard src's edges with
+// partition.HashAssign(e, k, seed) — the same seeded routing every runtime
+// uses, so the round reproduces an in-process run bit for bit — then
+// collect each active machine's summary. The returned summaries are indexed
+// by machine; the Stats are this round's alone, with measured wire bytes.
+//
+// The caller's goroutine reads and shards the source; one goroutine per
+// machine speaks the wire protocol (dial and HELLO/ACK if the machine has
+// no live connection, SHARD stream with TCP backpressure, EOS once the
+// final vertex count is known, CORESET back). The close(nReady) edge
+// publishes nFinal to the machine goroutines exactly as in stream.run.
+// A retryable worker failure in a replayable round lets the sharder and the
+// healthy machines finish, then replays only the failed machines
+// (retry.go); anything else cancels the round's context (stopping the
+// sharder at the next batch boundary) and is returned as a typed
+// *WorkerError — concurrent real failures joined behind the causally first
+// one. Caller cancellation force-closes the connections, so no goroutine
+// can stay blocked on the network, and every exit path closes the batch
+// channels and waits for the machine goroutines. Error precedence: the
+// caller's cancellation, then a source error, then the worker failures.
+func (s *Session) Round(ctx context.Context, src stream.EdgeSource, k int, seed uint64) ([]stream.Summary, *Stats, error) {
+	if s.closed || s.broken {
+		return nil, nil, errors.New("cluster: session is no longer usable")
+	}
+	if src == nil {
+		return nil, nil, errors.New("cluster: nil source")
+	}
+	if k < 1 || k > s.k {
+		return nil, nil, fmt.Errorf("cluster: round k %d outside [1, %d]", k, s.k)
+	}
+	if limit := max(s.roundCap, 1); s.roundsRun >= limit {
+		return nil, nil, fmt.Errorf("cluster: round cap %d exhausted", limit)
 	}
 	start := time.Now()
 
-	nHint, known := 0, src.KnownUpfront()
-	if known {
-		nHint = src.NumVertices()
-	}
 	_, restartable := src.(stream.Restartable)
-	replayable := cfg.MaxRetries > 0 && restartable
-	iot := cfg.ioTimeout()
+	replayable := s.cfg.MaxRetries > 0 && restartable
+	iot := s.cfg.ioTimeout()
 
-	// runCtx is the run's internal lifetime: canceled by the caller's ctx or
-	// by the first fatal worker failure, whichever comes first.
+	// runCtx is the round's internal lifetime: canceled by the caller's ctx
+	// or by the first fatal worker failure, whichever comes first.
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
 
@@ -154,13 +248,7 @@ func run(ctx context.Context, src stream.EdgeSource, cfg Config, tb byte, ep edc
 		failMu sync.Mutex
 		fails  []*WorkerError
 	)
-	noteFailure := func(we *WorkerError) {
-		failMu.Lock()
-		fails = append(fails, we)
-		failMu.Unlock()
-	}
 	chans := make([]chan []graph.Edge, k)
-	dialer := &net.Dialer{Timeout: cfg.dialTimeout()}
 	for i := 0; i < k; i++ {
 		chans[i] = make(chan []graph.Edge, 4)
 		wg.Add(1)
@@ -169,10 +257,10 @@ func run(ctx context.Context, src stream.EdgeSource, cfg Config, tb byte, ep edc
 			res := workerResult{machine: machine}
 			defer func() {
 				if res.err != nil {
-					// A retryable failure in a replayable run must NOT stop
+					// A retryable failure in a replayable round must NOT stop
 					// the sharder: the healthy machines finish their round
 					// and only this machine is replayed. Anything else stops
-					// the run. Either way, discard whatever the sharder
+					// the round. Either way, discard whatever the sharder
 					// queued for this machine so it can never block on a
 					// dead connection (the sharder owns close(chans[machine]),
 					// so this drain always terminates).
@@ -184,39 +272,30 @@ func run(ctx context.Context, src stream.EdgeSource, cfg Config, tb byte, ep edc
 				}
 				results <- res
 			}()
-			addr := cfg.Workers[machine]
-			fail := func(kind FailureKind, err error) {
-				we := &WorkerError{Machine: machine, Addr: addr, Kind: kind, Retryable: kind.retryable(), Err: err}
+			fail := func(we *WorkerError) {
 				res.err = we
-				noteFailure(we)
-				obs.Count(cfg.Obs, MetricWorkerFailures, 1)
+				failMu.Lock()
+				fails = append(fails, we)
+				failMu.Unlock()
+				obs.Count(s.cfg.Obs, MetricWorkerFailures, 1)
 			}
-
-			obs.Count(cfg.Obs, MetricDialAttempts, 1)
-			conn, err := dialer.DialContext(runCtx, "tcp", addr)
-			if err != nil {
-				fail(KindDial, err)
-				return
+			if s.conns[machine] == nil {
+				conn, sent, we := s.handshake(runCtx, machine)
+				res.sent += sent
+				if we != nil {
+					fail(we)
+					return
+				}
+				s.conns[machine] = conn
 			}
-			defer conn.Close()
+			conn := s.conns[machine]
 			// Force-close the connection on cancellation so blocked reads and
 			// writes fail promptly instead of hanging on a stuck peer.
 			stopWatch := closeOnCancel(runCtx, conn)
 			defer stopWatch()
-
-			h := hello{version: protocolVersion, task: tb, machine: machine, k: k, known: known, n: nHint, edcs: ep, telem: true, runID: cfg.RunID}
-			n, err := writeFrameDeadline(conn, iot, frameHello, encodeHello(h))
-			res.sent += n
-			countSent(cfg.Obs, machine, n, err)
-			if err != nil {
-				fail(ioKind(err), fmt.Errorf("handshake: %w", err))
-				return
-			}
-			if kind, err := readAck(conn, iot); err != nil {
-				fail(kind, err)
-				return
-			}
-			roundTrip(runCtx, conn, tb, iot, chans[machine], nReady, &nFinal, &res, fail, cfg.Obs)
+			roundTrip(runCtx, conn, s.d, iot, chans[machine], nReady, &nFinal, &res, func(kind FailureKind, err error) {
+				fail(&WorkerError{Machine: machine, Addr: s.addrs[machine], Kind: kind, Retryable: kind.retryable(), Err: err})
+			}, s.cfg.Obs)
 		}(i)
 	}
 
@@ -225,13 +304,7 @@ func run(ctx context.Context, src stream.EdgeSource, cfg Config, tb byte, ep edc
 			close(ch)
 		}
 	}
-
-	// Shard stage: identical routing to stream.run — read source batches,
-	// assign each edge with the seeded hash, flush per-machine mini-batches
-	// as they fill. Sends block on the machine's channel (and transitively on
-	// its TCP connection: per-worker backpressure) but never past
-	// cancellation.
-	total, batches, srcErr, aborted := shardSource(runCtx, src, chans, cfg.batchSize(), cfg.Seed)
+	total, batches, srcErr, aborted := shardSource(runCtx, src, chans, s.cfg.batchSize(), seed)
 	if srcErr != nil || aborted {
 		cancelRun() // release goroutines parked on nReady or blocked I/O
 		closeAll()
@@ -247,16 +320,17 @@ func run(ctx context.Context, src stream.EdgeSource, cfg Config, tb byte, ep edc
 	for r := range results {
 		byMachine[r.machine] = r
 	}
-	// Error precedence: the caller's cancellation, then a source error, then
-	// the worker failures — replayed when every failure is retryable and the
-	// run allows it, otherwise joined behind the causally-first one (never
-	// one of the secondary errors its cancellation induced on the other
-	// connections).
-	if err := ctx.Err(); err != nil {
+	// An unrecovered error leaves connections force-closed or mid-frame, so
+	// the session is done for.
+	failSession := func(err error) ([]stream.Summary, *Stats, error) {
+		s.broken = true
 		return nil, nil, err
 	}
+	if err := ctx.Err(); err != nil {
+		return failSession(err)
+	}
 	if srcErr != nil {
-		return nil, nil, srcErr
+		return failSession(srcErr)
 	}
 	var nRetries int
 	var replayedMachines []int
@@ -266,32 +340,24 @@ func run(ctx context.Context, src stream.EdgeSource, cfg Config, tb byte, ep edc
 			// Replay was asked for and every failure was replayable, but the
 			// source cannot rewind: name the source kind so the caller knows
 			// what to fix, rather than a generic worker failure.
-			if cfg.MaxRetries > 0 && !restartable && allRetryable(fails) && !aborted {
+			if s.cfg.MaxRetries > 0 && !restartable && allRetryable(fails) && !aborted {
 				ferr = notRestartable(ferr, src)
 			}
-			return nil, nil, ferr
+			return failSession(ferr)
 		}
 		failed := make(map[int]*WorkerError, len(fails))
 		for _, we := range fails {
 			failed[we.Machine] = we
 		}
-		addrs := append([]string(nil), cfg.Workers...)
-		spares := append([]string(nil), cfg.Spares...)
-		rp := &replayer{
-			cfg: cfg, task: tb, seed: cfg.Seed, k: k, nFinal: nFinal,
-			addrs: addrs, spares: &spares,
-			helloFor: func(m int) hello {
-				return hello{version: protocolVersion, task: tb, machine: m, k: k, known: known, n: nHint, edcs: ep, telem: true, runID: cfg.RunID}
-			},
-		}
+		rp := &replayer{s: s, seed: seed, k: k, nFinal: nFinal}
 		var err error
 		nRetries, replayedMachines, err = rp.replay(ctx, src, byMachine, failed)
 		if err != nil {
-			return nil, nil, err
+			return failSession(err)
 		}
 	}
 	if aborted { // canceled with no surviving cause: report it as such
-		return nil, nil, context.Canceled
+		return failSession(context.Canceled)
 	}
 
 	sums := make([]stream.Summary, k)
@@ -316,6 +382,12 @@ func run(ctx context.Context, src stream.EdgeSource, cfg Config, tb byte, ep edc
 		st.PartEdges[r.machine] = r.sum.Edges
 		st.StoredEdges[r.machine] = r.sum.Stored
 		st.Live[r.machine] = r.sum.Live
+		n := s.d.CoresetLen(r.sum)
+		st.CoresetEdges = append(st.CoresetEdges, n)
+		if s.d.FixedLen != nil {
+			st.CoresetFixed = append(st.CoresetFixed, s.d.FixedLen(r.sum))
+		}
+		st.CompositionEdges += n
 		st.TotalCommBytes += r.wire
 		if r.wire > st.MaxMachineBytes {
 			st.MaxMachineBytes = r.wire
@@ -334,8 +406,50 @@ func run(ctx context.Context, src stream.EdgeSource, cfg Config, tb byte, ep edc
 		ms.Replayed = wasReplayed[r.machine]
 		st.MachineStats[r.machine] = ms
 	}
+	s.roundsRun++
 	st.Duration = time.Since(start)
 	return sums, st, nil
+}
+
+// RoundsRun returns how many rounds the session has completed.
+func (s *Session) RoundsRun() int { return s.roundsRun }
+
+// Close ends the run: the connections are closed, which workers waiting at
+// a round boundary treat as a clean end. It is idempotent — the second and
+// later calls return nil — and after a mid-round failure it never masks the
+// round's error with teardown noise: a poisoned session's connections are
+// already force-closed or mid-frame, so their close errors are expected and
+// suppressed, as are double-close artifacts on any path.
+func (s *Session) Close() error {
+	if s.closed {
+		return nil
+	}
+	s.closed = true
+	var first error
+	for _, c := range s.conns {
+		if c == nil {
+			continue
+		}
+		err := c.Close()
+		if err == nil || s.broken || errors.Is(err, net.ErrClosed) {
+			continue
+		}
+		if first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// workerResult is one machine's outcome: its decoded summary plus the
+// measured wire traffic in both directions, or the error that ended it.
+type workerResult struct {
+	machine int
+	sum     stream.Summary
+	wire    int          // measured CORESET frame bytes (worker -> coordinator)
+	sent    int          // measured HELLO+SHARD+EOS bytes (coordinator -> worker)
+	telem   *workerTelem // decoded TELEM payload; nil when the worker omitted it
+	err     error
 }
 
 // readAck consumes the worker's handshake reply — an ACK, or the ERROR
@@ -357,17 +471,14 @@ func readAck(conn net.Conn, iot time.Duration) (FailureKind, error) {
 	}
 }
 
-// roundTrip speaks the post-handshake frames of one run — or one round of a
-// multi-round session — on an open connection: SHARD frames off the batch
-// channel (with TCP backpressure), EOS once the sharder publishes the final
-// vertex count through the nReady edge, then the CORESET reply. The decoded
-// summary and the measured byte counts land in res; failures go through
-// fail, which wraps them as *WorkerError with their FailureKind and records
-// causal order. Every frame exchange runs under the per-frame IOTimeout, so
-// a stalled worker surfaces as a retryable KindDeadline failure rather than
-// a hang. On a shard-stream failure the caller's deferred drain consumes
-// the remaining batches.
-func roundTrip(runCtx context.Context, conn net.Conn, tb byte, iot time.Duration, batches <-chan []graph.Edge, nReady <-chan struct{}, nFinal *int, res *workerResult, fail func(FailureKind, error), sink obs.Sink) {
+// roundTrip speaks the post-handshake frames of one round on an open
+// connection: SHARD frames off the batch channel (with TCP backpressure),
+// then — once the sharder publishes the final vertex count through the
+// nReady edge — finishRound's EOS and CORESET. Failures go through fail,
+// which wraps them as *WorkerError with their FailureKind and records
+// causal order. On a shard-stream failure the caller's deferred drain
+// consumes the remaining batches.
+func roundTrip(runCtx context.Context, conn net.Conn, d *task.Descriptor, iot time.Duration, batches <-chan []graph.Edge, nReady <-chan struct{}, nFinal *int, res *workerResult, fail func(FailureKind, error), sink obs.Sink) {
 	var buf []byte
 	for batch := range batches {
 		buf = graph.AppendEdgeBatch(buf[:0], batch)
@@ -385,50 +496,57 @@ func roundTrip(runCtx context.Context, conn net.Conn, tb byte, iot time.Duration
 		res.err = runCtx.Err()
 		return
 	}
-	n, err := writeFrameDeadline(conn, iot, frameEOS, binary.AppendUvarint(nil, uint64(*nFinal)))
+	if kind, err := finishRound(conn, iot, d, *nFinal, res, sink); err != nil {
+		fail(kind, err)
+	}
+}
+
+// finishRound ends one machine's round on conn: EOS with the final vertex
+// count, then the worker's answer — an optional TELEM frame, then the
+// CORESET, decoded with d's codec into res. The round fan-out and the
+// replay waves share it. Every frame exchange runs under the per-frame
+// IOTimeout, so a stalled worker surfaces as a retryable KindDeadline
+// failure rather than a hang; a corrupt or unexpected frame is
+// KindProtocol.
+func finishRound(conn net.Conn, iot time.Duration, d *task.Descriptor, nFinal int, res *workerResult, sink obs.Sink) (FailureKind, error) {
+	n, err := writeFrameDeadline(conn, iot, frameEOS, binary.AppendUvarint(nil, uint64(nFinal)))
 	res.sent += n
 	countSent(sink, res.machine, n, err)
 	if err != nil {
-		fail(ioKind(err), fmt.Errorf("EOS: %w", err))
-		return
+		return ioKind(err), fmt.Errorf("EOS: %w", err)
 	}
-
 	typ, payload, frameLen, err := readFrameDeadline(conn, iot)
 	if err != nil {
-		fail(ioKind(err), fmt.Errorf("awaiting CORESET: %w", err))
-		return
+		return ioKind(err), fmt.Errorf("awaiting CORESET: %w", err)
 	}
 	// A telemetry-capable worker answers EOS with TELEM then CORESET; an old
 	// worker sends a bare CORESET and the machine's phase telemetry stays
 	// zero. A corrupt TELEM is KindProtocol, like any corrupt frame: a peer
 	// that garbles telemetry cannot be trusted about the coreset either.
 	if typ == frameTelem {
-		t, terr := decodeTelem(payload)
-		if terr != nil {
-			fail(KindProtocol, terr)
-			return
+		t, err := decodeTelem(payload)
+		if err != nil {
+			return KindProtocol, err
 		}
 		res.telem = &t
 		countTelem(sink, res.machine, frameLen)
-		typ, payload, frameLen, err = readFrameDeadline(conn, iot)
-		if err != nil {
-			fail(ioKind(err), fmt.Errorf("awaiting CORESET: %w", err))
-			return
+		if typ, payload, frameLen, err = readFrameDeadline(conn, iot); err != nil {
+			return ioKind(err), fmt.Errorf("awaiting CORESET: %w", err)
 		}
 	}
 	switch typ {
 	case frameCoreset:
-		sum, err := decodeSummary(tb, payload)
+		sum, err := task.DecodeSummary(d, payload)
 		if err != nil {
-			fail(KindProtocol, err)
-			return
+			return KindProtocol, err
 		}
 		res.sum, res.wire = sum, frameLen
 		countReceived(sink, res.machine, frameLen)
+		return KindUnknown, nil
 	case frameError:
-		fail(KindProtocol, fmt.Errorf("remote: %s", payload))
+		return KindProtocol, fmt.Errorf("remote: %s", payload)
 	default:
-		fail(KindProtocol, fmt.Errorf("unexpected frame 0x%02x, want CORESET", typ))
+		return KindProtocol, fmt.Errorf("unexpected frame 0x%02x, want CORESET", typ)
 	}
 }
 
@@ -530,11 +648,11 @@ shard:
 // function ends the watch (idempotently) once the connection is done.
 //
 // The done recheck inside the cancellation case matters for connections
-// that outlive the watch (EDCSSession reuses its connections across
-// rounds): on a successful round, stop() runs strictly before the round's
-// deferred cancel, but a watcher that first wakes with BOTH channels ready
-// would pick a select case at random — and must not close a connection the
-// next round is about to use.
+// that outlive the watch (a Session reuses its connections across rounds):
+// on a successful round, stop() runs strictly before the round's deferred
+// cancel, but a watcher that first wakes with BOTH channels ready would pick
+// a select case at random — and must not close a connection the next round
+// is about to use.
 func closeOnCancel(ctx context.Context, conn net.Conn) (stop func()) {
 	done := make(chan struct{})
 	go func() {

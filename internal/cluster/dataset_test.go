@@ -120,8 +120,8 @@ func TestDatasetStreamsUnderBudgetAllRuntimes(t *testing.T) {
 	var csums []stream.Summary
 	err = runWithTimeout(t, 30*time.Second, func() error {
 		var err error
-		csums, _, err = run(context.Background(), csrc,
-			Config{Workers: backends, Seed: seed, BatchSize: 64}, taskMatching, edcs.Params{})
+		csums, _, err = runOnce(context.Background(), csrc,
+			Config{Workers: backends, Seed: seed, BatchSize: 64}, task.MustGet("matching"), task.Params{})
 		return err
 	})
 	if err != nil {
@@ -152,12 +152,12 @@ func TestDatasetClusterRoundsWithReplay(t *testing.T) {
 
 	const rounds = 2
 	p := edcs.ParamsForBeta(16)
-	sess, err := DialEDCSRounds(context.Background(), Config{
+	sess, err := OpenSession(Config{
 		Workers:      []string{backends[0], proxyAddr},
 		BatchSize:    64,
 		MaxRetries:   2,
 		RetryBackoff: time.Millisecond,
-	}, p, rounds, g.N)
+	}, task.MustGet("edcs"), task.Params{EDCS: p}, rounds, g.N)
 	if err != nil {
 		t.Fatal(err)
 	}

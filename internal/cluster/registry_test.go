@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/diversity"
-	"repro/internal/edcs"
 	"repro/internal/graph"
 	"repro/internal/stream"
 	"repro/internal/task"
@@ -73,7 +72,7 @@ func TestDiversityParityAcrossRuntimes(t *testing.T) {
 
 		// Per-machine summaries survive the wire deep-equal to the oracle:
 		// greedy centers over the partition's touched vertices.
-		sums, _, err := run(ctx, stream.NewGraphSource(g), cfg, taskDiversity, edcs.Params{})
+		sums, _, err := runOnce(ctx, stream.NewGraphSource(g), cfg, task.MustGet("diversity"), task.Params{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -91,37 +90,22 @@ func allRetryable(fails []*WorkerError) bool {
 	return true
 }
 
-// replayer re-runs the current round for the machines that failed it. One
-// replayer serves both deployment shapes: single-round runs (run) discard
-// the replacement connections after the round, multi-round sessions
-// (EDCSSession.Round) retire the broken connection and keep the replacement
-// for the rounds that follow.
+// replayer re-runs the current round of its session for the machines that
+// failed it. It retires each failed machine's broken connection before the
+// first replay attempt and hands a successful replacement back to the
+// session, which keeps it for the rounds that follow (or closes it at Close
+// after a single-round run).
 type replayer struct {
-	cfg    Config
-	task   byte
-	seed   uint64   // this round's sharding seed
-	k      int      // active machine count this round (the hash modulus)
-	nFinal int      // final vertex count, known from the completed shard pass
-	addrs  []string // current address per machine; shared with the owner, replay rotates in spares
-	spares *[]string
-	// helloFor mints the re-handshake HELLO for a machine (sessions shrink
-	// the rounds field to the rounds still owed).
-	helloFor func(machine int) hello
-	// retire closes the machine's previous connection before its first
-	// replay attempt; nil when the caller already closed it.
-	retire func(machine int)
-	// keep receives the machine's replacement connection after a successful
-	// replay; nil closes it once the CORESET is in.
-	keep func(machine int, conn net.Conn)
+	s      *Session
+	seed   uint64 // this round's sharding seed
+	k      int    // active machine count this round (the hash modulus)
+	nFinal int    // final vertex count, known from the completed shard pass
 }
 
 // replayConn is one machine's live replay attempt within a wave.
 type replayConn struct {
-	conn  net.Conn
-	sent  int // coordinator-to-worker bytes of this attempt
-	sum   stream.Summary
-	wire  int          // measured CORESET frame bytes
-	telem *workerTelem // TELEM payload of this attempt (nil if omitted)
+	conn net.Conn
+	res  workerResult // this attempt's summary, wire bytes and telemetry
 }
 
 // replay drives replay waves until failed is empty or a budget runs out.
@@ -134,11 +118,9 @@ func (r *replayer) replay(ctx context.Context, src stream.EdgeSource, byMachine 
 	if !ok { // callers gate on this; defensive
 		return 0, nil, notRestartable(joinFailures(sortedFailures(failed)), src)
 	}
-	iot := r.cfg.ioTimeout()
-	dialer := &net.Dialer{Timeout: r.cfg.dialTimeout()}
+	s := r.s
 	attempts := make(map[int]int)
-	retired := make(map[int]bool)
-	backoff := r.cfg.backoffBase()
+	backoff := s.cfg.backoffBase()
 
 	terminal := func(primary *WorkerError, active map[int]*replayConn) error {
 		for _, rc := range active {
@@ -157,15 +139,15 @@ func (r *replayer) replay(ctx context.Context, src stream.EdgeSource, byMachine 
 		// Budget check: the lowest exhausted machine turns terminal.
 		for _, we := range sortedFailures(failed) {
 			m := we.Machine
-			if attempts[m] >= r.cfg.MaxRetries {
+			if attempts[m] >= s.cfg.MaxRetries {
 				exh := &WorkerError{
-					Machine: m, Addr: r.addrs[m], Kind: we.Kind, Retryable: false,
+					Machine: m, Addr: s.addrs[m], Kind: we.Kind, Retryable: false,
 					Err: fmt.Errorf("%w: %d replay attempts: %w", ErrRetriesExhausted, attempts[m], we.Err),
 				}
 				return retries, replayed, terminal(exh, nil)
 			}
 		}
-		obs.Count(r.cfg.Obs, MetricBackoffSleeps, 1)
+		obs.Count(s.cfg.Obs, MetricBackoffSleeps, 1)
 		if err := sleepCtx(ctx, backoff); err != nil {
 			return retries, replayed, err
 		}
@@ -186,26 +168,29 @@ func (r *replayer) replay(ctx context.Context, src stream.EdgeSource, byMachine 
 				}
 				return retries, replayed, err
 			}
-			if attempts[m] > 0 && len(*r.spares) > 0 {
-				r.addrs[m] = (*r.spares)[0]
-				*r.spares = (*r.spares)[1:]
+			if attempts[m] > 0 && len(s.spares) > 0 {
+				s.addrs[m], s.spares = s.spares[0], s.spares[1:]
 			}
 			attempts[m]++
 			retries++
-			obs.Count(r.cfg.Obs, MetricRetries, 1)
-			if r.retire != nil && !retired[m] {
-				r.retire(m)
-				retired[m] = true
+			obs.Count(s.cfg.Obs, MetricRetries, 1)
+			// Retire the broken connection; a failed machine only holds one
+			// until its first replay attempt (replacements are handed back
+			// to the session only once they succeed).
+			if c := s.conns[m]; c != nil {
+				c.Close()
+				s.conns[m] = nil
 			}
-			rc, hswe := r.handshake(ctx, dialer, m, iot)
+			conn, sent, hswe := s.handshake(ctx, m)
 			if hswe != nil {
+				hswe.Err = fmt.Errorf("replay: %w", hswe.Err)
 				failed[m] = hswe
 				if !hswe.Retryable {
 					return retries, replayed, terminal(hswe, active)
 				}
 				continue
 			}
-			active[m] = rc
+			active[m] = &replayConn{conn: conn, res: workerResult{machine: m, sent: sent}}
 		}
 		if len(active) == 0 {
 			continue // every dial failed; back off and try the next wave
@@ -216,68 +201,41 @@ func (r *replayer) replay(ctx context.Context, src stream.EdgeSource, byMachine 
 		if err := rs.Restart(); err != nil {
 			we := sortedFailures(failed)[0]
 			return retries, replayed, terminal(&WorkerError{
-				Machine: we.Machine, Addr: r.addrs[we.Machine], Kind: we.Kind, Retryable: false,
+				Machine: we.Machine, Addr: s.addrs[we.Machine], Kind: we.Kind, Retryable: false,
 				Err: fmt.Errorf("replay needs a restartable source (%v): %w", err, we.Err),
 			}, active)
 		}
-		if err := r.shardTo(ctx, src, active, failed, iot); err != nil {
+		if err := r.shardTo(ctx, src, active, failed); err != nil {
 			return retries, replayed, err // ctx or source error; conns closed
 		}
 
 		// EOS, then the replayed CORESETs.
 		for _, m := range sortedConns(active) {
 			rc := active[m]
-			we := r.collect(m, rc, iot)
-			if we != nil {
+			if kind, err := finishRound(rc.conn, s.cfg.ioTimeout(), s.d, r.nFinal, &rc.res, s.cfg.Obs); err != nil {
 				rc.conn.Close()
 				delete(active, m)
+				we := &WorkerError{Machine: m, Addr: s.addrs[m], Kind: kind, Retryable: kind.retryable(), Err: fmt.Errorf("replay: %w", err)}
 				failed[m] = we
 				if !we.Retryable {
 					return retries, replayed, terminal(we, active)
 				}
 				continue
 			}
-			old := byMachine[m]
 			// Telemetry describes the replacement attempt only: the failed
 			// attempt's partial phases never mix in. Sent bytes accumulate
 			// (ShardBytes stays honest about every byte actually sent).
-			byMachine[m] = workerResult{machine: m, sum: rc.sum, wire: rc.wire, sent: old.sent + rc.sent, telem: rc.telem}
+			rc.res.sent += byMachine[m].sent
+			byMachine[m] = rc.res
 			delete(failed, m)
 			delete(active, m)
 			replayed = append(replayed, m)
-			obs.Count(r.cfg.Obs, MetricReplays, 1)
-			if r.keep != nil {
-				r.keep(m, rc.conn)
-			} else {
-				rc.conn.Close()
-			}
+			obs.Count(s.cfg.Obs, MetricReplays, 1)
+			s.conns[m] = rc.conn
 		}
 	}
 	sort.Ints(replayed)
 	return retries, replayed, nil
-}
-
-// handshake dials a machine's current address and speaks the replay HELLO.
-func (r *replayer) handshake(ctx context.Context, dialer *net.Dialer, m int, iot time.Duration) (*replayConn, *WorkerError) {
-	addr := r.addrs[m]
-	obs.Count(r.cfg.Obs, MetricDialAttempts, 1)
-	conn, err := dialer.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, &WorkerError{Machine: m, Addr: addr, Kind: KindDial, Retryable: true, Err: fmt.Errorf("replay dial: %w", err)}
-	}
-	rc := &replayConn{conn: conn}
-	n, err := writeFrameDeadline(conn, iot, frameHello, encodeHello(r.helloFor(m)))
-	rc.sent += n
-	countSent(r.cfg.Obs, m, n, err)
-	if err != nil {
-		conn.Close()
-		return nil, &WorkerError{Machine: m, Addr: addr, Kind: ioKind(err), Retryable: true, Err: fmt.Errorf("replay handshake: %w", err)}
-	}
-	if kind, err := readAck(conn, iot); err != nil {
-		conn.Close()
-		return nil, &WorkerError{Machine: m, Addr: addr, Kind: kind, Retryable: kind.retryable(), Err: fmt.Errorf("replay: %w", err)}
-	}
-	return rc, nil
 }
 
 // shardTo re-streams the restarted source, routing each edge with the same
@@ -285,13 +243,15 @@ func (r *replayer) handshake(ctx context.Context, dialer *net.Dialer, m int, iot
 // connections. A send failure returns that machine to the failed set for
 // the next wave; a source or context error is fatal and closes every active
 // connection.
-func (r *replayer) shardTo(ctx context.Context, src stream.EdgeSource, active map[int]*replayConn, failed map[int]*WorkerError, iot time.Duration) error {
+func (r *replayer) shardTo(ctx context.Context, src stream.EdgeSource, active map[int]*replayConn, failed map[int]*WorkerError) error {
 	closeAll := func() {
 		for _, rc := range active {
 			rc.conn.Close()
 		}
 	}
-	bs := r.cfg.batchSize()
+	cfg := r.s.cfg
+	iot := cfg.ioTimeout()
+	bs := cfg.batchSize()
 	buf := make([]graph.Edge, bs)
 	pending := make(map[int][]graph.Edge, len(active))
 	var enc []byte
@@ -303,12 +263,12 @@ func (r *replayer) shardTo(ctx context.Context, src stream.EdgeSource, active ma
 		enc = graph.AppendEdgeBatch(enc[:0], pending[m])
 		pending[m] = pending[m][:0]
 		n, err := writeFrameDeadline(rc.conn, iot, frameShard, enc)
-		rc.sent += n
-		countSent(r.cfg.Obs, m, n, err)
+		rc.res.sent += n
+		countSent(cfg.Obs, m, n, err)
 		if err != nil {
 			rc.conn.Close()
 			delete(active, m)
-			failed[m] = &WorkerError{Machine: m, Addr: r.addrs[m], Kind: ioKind(err), Retryable: true, Err: fmt.Errorf("replay shard stream: %w", err)}
+			failed[m] = &WorkerError{Machine: m, Addr: r.s.addrs[m], Kind: ioKind(err), Retryable: true, Err: fmt.Errorf("replay shard stream: %w", err)}
 		}
 	}
 	for {
@@ -343,49 +303,6 @@ func (r *replayer) shardTo(ctx context.Context, src stream.EdgeSource, active ma
 		flush(m)
 	}
 	return nil
-}
-
-// collect finishes one machine's replay: EOS with the known final vertex
-// count, then its CORESET frame. The decoded summary lands in rc.
-func (r *replayer) collect(m int, rc *replayConn, iot time.Duration) *WorkerError {
-	addr := r.addrs[m]
-	n, err := writeFrameDeadline(rc.conn, iot, frameEOS, binary.AppendUvarint(nil, uint64(r.nFinal)))
-	rc.sent += n
-	countSent(r.cfg.Obs, m, n, err)
-	if err != nil {
-		return &WorkerError{Machine: m, Addr: addr, Kind: ioKind(err), Retryable: true, Err: fmt.Errorf("replay EOS: %w", err)}
-	}
-	typ, payload, frameLen, err := readFrameDeadline(rc.conn, iot)
-	if err != nil {
-		return &WorkerError{Machine: m, Addr: addr, Kind: ioKind(err), Retryable: true, Err: fmt.Errorf("replay awaiting CORESET: %w", err)}
-	}
-	// Optional TELEM before the CORESET, exactly as on the fan-out path.
-	if typ == frameTelem {
-		t, terr := decodeTelem(payload)
-		if terr != nil {
-			return &WorkerError{Machine: m, Addr: addr, Kind: KindProtocol, Retryable: false, Err: terr}
-		}
-		rc.telem = &t
-		countTelem(r.cfg.Obs, m, frameLen)
-		typ, payload, frameLen, err = readFrameDeadline(rc.conn, iot)
-		if err != nil {
-			return &WorkerError{Machine: m, Addr: addr, Kind: ioKind(err), Retryable: true, Err: fmt.Errorf("replay awaiting CORESET: %w", err)}
-		}
-	}
-	switch typ {
-	case frameCoreset:
-		sum, err := decodeSummary(r.task, payload)
-		if err != nil {
-			return &WorkerError{Machine: m, Addr: addr, Kind: KindProtocol, Retryable: false, Err: err}
-		}
-		rc.sum, rc.wire = sum, frameLen
-		countReceived(r.cfg.Obs, m, frameLen)
-		return nil
-	case frameError:
-		return &WorkerError{Machine: m, Addr: addr, Kind: KindProtocol, Retryable: false, Err: fmt.Errorf("remote: %s", payload)}
-	default:
-		return &WorkerError{Machine: m, Addr: addr, Kind: KindProtocol, Retryable: false, Err: fmt.Errorf("unexpected frame 0x%02x, want CORESET", typ)}
-	}
 }
 
 // sortedFailures returns failed's errors in ascending machine order, so

@@ -18,6 +18,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/stream"
+	"repro/internal/task"
 )
 
 // proxyPlan scripts how the flaky proxy mistreats one connection. The zero
@@ -234,7 +235,7 @@ func TestReplayRecovery(t *testing.T) {
 			var st *Stats
 			err := runWithTimeout(t, 30*time.Second, func() error {
 				var err error
-				sums, st, err = run(context.Background(), stream.NewGraphSource(g), cfg, taskMatching, edcs.Params{})
+				sums, st, err = runOnce(context.Background(), stream.NewGraphSource(g), cfg, task.MustGet("matching"), task.Params{})
 				return err
 			})
 			if err != nil {
@@ -252,8 +253,8 @@ func TestReplayRecovery(t *testing.T) {
 			}
 
 			// Oracle: the same run against three healthy workers, undisturbed.
-			want, wantSt, err := run(context.Background(), stream.NewGraphSource(g),
-				Config{Workers: backends, Seed: 11, BatchSize: 64}, taskMatching, edcs.Params{})
+			want, wantSt, err := runOnce(context.Background(), stream.NewGraphSource(g),
+				Config{Workers: backends, Seed: 11, BatchSize: 64}, task.MustGet("matching"), task.Params{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -287,7 +288,7 @@ func TestReplayDialRefusedUsesSpare(t *testing.T) {
 	var st *Stats
 	err := runWithTimeout(t, 30*time.Second, func() error {
 		var err error
-		sums, st, err = run(context.Background(), stream.NewGraphSource(g), cfg, taskMatching, edcs.Params{})
+		sums, st, err = runOnce(context.Background(), stream.NewGraphSource(g), cfg, task.MustGet("matching"), task.Params{})
 		return err
 	})
 	if err != nil {
@@ -300,8 +301,8 @@ func TestReplayDialRefusedUsesSpare(t *testing.T) {
 		t.Fatalf("ReplayedMachines = %v, want [1]", st.ReplayedMachines)
 	}
 	// The result must not depend on which address served machine 1.
-	want, _, err := run(context.Background(), stream.NewGraphSource(g),
-		Config{Workers: backends, Seed: 13, BatchSize: 64}, taskMatching, edcs.Params{})
+	want, _, err := runOnce(context.Background(), stream.NewGraphSource(g),
+		Config{Workers: backends, Seed: 13, BatchSize: 64}, task.MustGet("matching"), task.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +321,7 @@ func TestRetriesExhausted(t *testing.T) {
 		MaxRetries: 2, RetryBackoff: time.Millisecond,
 	}
 	err := runWithTimeout(t, 30*time.Second, func() error {
-		_, _, err := run(context.Background(), stream.NewGraphSource(g), cfg, taskMatching, edcs.Params{})
+		_, _, err := runOnce(context.Background(), stream.NewGraphSource(g), cfg, task.MustGet("matching"), task.Params{})
 		return err
 	})
 	if !errors.Is(err, ErrRetriesExhausted) {
@@ -353,7 +354,7 @@ func TestReplayNeedsRestartableSource(t *testing.T) {
 	cfg := Config{Workers: []string{backends[0], crash}, Seed: 19, BatchSize: 64,
 		MaxRetries: 2, RetryBackoff: time.Millisecond}
 	err := runWithTimeout(t, 30*time.Second, func() error {
-		_, _, err := run(context.Background(), &opaqueSource{inner: stream.NewGraphSource(g)}, cfg, taskMatching, edcs.Params{})
+		_, _, err := runOnce(context.Background(), &opaqueSource{inner: stream.NewGraphSource(g)}, cfg, task.MustGet("matching"), task.Params{})
 		return err
 	})
 	var we *WorkerError
@@ -375,8 +376,8 @@ func TestIOTimeoutStalledWorker(t *testing.T) {
 	g := gen.GNP(500, 0.02, rng.New(23))
 	start := time.Now()
 	err := runWithTimeout(t, 30*time.Second, func() error {
-		_, _, err := Matching(context.Background(), stream.NewGraphSource(g),
-			Config{Workers: []string{backends[0], proxyAddr}, Seed: 23, IOTimeout: 2 * time.Second})
+		_, _, err := Solve(context.Background(), stream.NewGraphSource(g),
+			Config{Workers: []string{backends[0], proxyAddr}, Seed: 23, IOTimeout: 2 * time.Second}, task.MustGet("matching"), task.Params{})
 		return err
 	})
 	var we *WorkerError
@@ -439,8 +440,8 @@ func TestConcurrentWorkerFailures(t *testing.T) {
 	crashB := crashingWorker(t, 0)
 	g := gen.GNP(2000, 0.01, rng.New(29))
 	err := runWithTimeout(t, 30*time.Second, func() error {
-		_, _, err := Matching(context.Background(), stream.NewGraphSource(g),
-			Config{Workers: []string{backends[0], crashA, crashB}, Seed: 29, BatchSize: 64})
+		_, _, err := Solve(context.Background(), stream.NewGraphSource(g),
+			Config{Workers: []string{backends[0], crashA, crashB}, Seed: 29, BatchSize: 64}, task.MustGet("matching"), task.Params{})
 		return err
 	})
 	var we *WorkerError
@@ -481,7 +482,7 @@ func TestSessionReplayEveryRound(t *testing.T) {
 		MaxRetries:   2,
 		RetryBackoff: time.Millisecond,
 	}
-	sess, err := DialEDCSRounds(context.Background(), cfg, p, rounds, g.N)
+	sess, err := OpenSession(cfg, task.MustGet("edcs"), task.Params{EDCS: p}, rounds, g.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +532,7 @@ func TestSessionReplayEveryRound(t *testing.T) {
 func TestSessionCloseIdempotent(t *testing.T) {
 	backends := startWorkers(t, 2)
 	g := gen.GNP(400, 0.05, rng.New(41))
-	sess, err := DialEDCSRounds(context.Background(), Config{Workers: backends}, edcs.ParamsForBeta(16), 2, g.N)
+	sess, err := OpenSession(Config{Workers: backends}, task.MustGet("edcs"), task.Params{EDCS: edcs.ParamsForBeta(16)}, 2, g.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,8 +559,8 @@ func TestSessionCloseAfterFailure(t *testing.T) {
 	t.Cleanup(closeProxy)
 	g := gen.GNP(2000, 16.0/2000, rng.New(43))
 	// Replay disabled: the mid-round failure must poison the session.
-	sess, err := DialEDCSRounds(context.Background(), Config{Workers: []string{backends[0], proxyAddr}, BatchSize: 64},
-		edcs.ParamsForBeta(16), 2, g.N)
+	sess, err := OpenSession(Config{Workers: []string{backends[0], proxyAddr}, BatchSize: 64},
+		task.MustGet("edcs"), task.Params{EDCS: edcs.ParamsForBeta(16)}, 2, g.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,21 +594,21 @@ func TestNoGoroutineLeaksReplay(t *testing.T) {
 	g := gen.GNP(1500, 0.01, rng.New(47))
 
 	// Successful replay after a crash.
-	if _, _, err := Matching(context.Background(), stream.NewGraphSource(g),
+	if _, _, err := Solve(context.Background(), stream.NewGraphSource(g),
 		Config{Workers: []string{addrs[0], proxyAddr}, Seed: 47, BatchSize: 64,
-			MaxRetries: 2, RetryBackoff: time.Millisecond}); err != nil {
+			MaxRetries: 2, RetryBackoff: time.Millisecond}, task.MustGet("matching"), task.Params{}); err != nil {
 		t.Fatalf("replay run: %v", err)
 	}
 	// Successful replay after a stall (deadline detection).
-	if _, _, err := Matching(context.Background(), stream.NewGraphSource(g),
+	if _, _, err := Solve(context.Background(), stream.NewGraphSource(g),
 		Config{Workers: []string{addrs[0], stallAddr}, Seed: 47, BatchSize: 64,
-			IOTimeout: 2 * time.Second, MaxRetries: 2, RetryBackoff: time.Millisecond}); err != nil {
+			IOTimeout: 2 * time.Second, MaxRetries: 2, RetryBackoff: time.Millisecond}, task.MustGet("matching"), task.Params{}); err != nil {
 		t.Fatalf("stall replay run: %v", err)
 	}
 	// Exhausted retries.
-	if _, _, err := Matching(context.Background(), stream.NewGraphSource(g),
+	if _, _, err := Solve(context.Background(), stream.NewGraphSource(g),
 		Config{Workers: []string{addrs[0], deadAddr(t)}, Seed: 47, BatchSize: 64,
-			MaxRetries: 1, RetryBackoff: time.Millisecond}); !errors.Is(err, ErrRetriesExhausted) {
+			MaxRetries: 1, RetryBackoff: time.Millisecond}, task.MustGet("matching"), task.Params{}); !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("exhausted run err = %v", err)
 	}
 

@@ -8,11 +8,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/edcs"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/stream"
+	"repro/internal/task"
 )
 
 // TestTelemCodec: the TELEM payload round-trips field-for-field, and the
@@ -112,7 +112,7 @@ func TestBareCoresetTolerated(t *testing.T) {
 	var st *Stats
 	err := runWithTimeout(t, 30*time.Second, func() error {
 		var err error
-		sums, st, err = run(context.Background(), stream.NewGraphSource(g), cfg, taskMatching, edcs.Params{})
+		sums, st, err = runOnce(context.Background(), stream.NewGraphSource(g), cfg, task.MustGet("matching"), task.Params{})
 		return err
 	})
 	if err != nil {
@@ -211,7 +211,7 @@ func TestCorruptTelemIsTerminal(t *testing.T) {
 				MaxRetries: 2, RetryBackoff: time.Millisecond, // replay armed, must not fire
 			}
 			err := runWithTimeout(t, 30*time.Second, func() error {
-				_, _, err := run(context.Background(), stream.NewGraphSource(g), cfg, taskMatching, edcs.Params{})
+				_, _, err := runOnce(context.Background(), stream.NewGraphSource(g), cfg, task.MustGet("matching"), task.Params{})
 				return err
 			})
 			var we *WorkerError
@@ -248,7 +248,7 @@ func TestReplayedMachineTelemetry(t *testing.T) {
 	var st *Stats
 	err := runWithTimeout(t, 30*time.Second, func() error {
 		var err error
-		sums, st, err = run(context.Background(), stream.NewGraphSource(g), cfg, taskMatching, edcs.Params{})
+		sums, st, err = runOnce(context.Background(), stream.NewGraphSource(g), cfg, task.MustGet("matching"), task.Params{})
 		return err
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"net"
 	"reflect"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/stream"
+	"repro/internal/task"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -77,6 +79,55 @@ func TestHelloRoundTrip(t *testing.T) {
 		}
 		if got != h {
 			t.Fatalf("round trip: got %+v want %+v", got, h)
+		}
+	}
+}
+
+// TestSessionHelloBytes pins the HELLO each session shape mints to its exact
+// wire bytes: with no round cap, the task's single-round byte, no rounds
+// field, and the known flag exactly as the source declared it; with a cap,
+// the rounds byte and the rounds still owed, which shrink as rounds
+// complete (a connection dialed or replayed mid-run agrees with the
+// coordinator).
+func TestSessionHelloBytes(t *testing.T) {
+	p16 := task.Params{EDCS: edcs.ParamsForBeta(16)}
+	single, err := openSession(Config{Workers: []string{"a", "b", "c"}, RunID: "r-0000002a"}, task.MustGet("matching"), task.Params{}, 0, true, 600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unknownN, err := openSession(Config{Workers: []string{"a", "b"}}, task.MustGet("vc"), task.Params{}, 0, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped, err := OpenSession(Config{Workers: []string{"a", "b"}, RunID: "r-0000002a"}, task.MustGet("edcs"), p16, 3, 600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		s    *Session
+		m    int
+		ran  int
+		want string
+	}{
+		{"single-round", single, 1, 0, "0101030103d8040a722d3030303030303261"},
+		{"single-round unknown n", unknownN, 0, 0, "01020200020000"},
+		{"capped round 0", capped, 1, 0, "0104030102d804100c030a722d3030303030303261"},
+		{"capped round 1", capped, 1, 1, "0104030102d804100c020a722d3030303030303261"},
+	} {
+		tc.s.roundsRun = tc.ran
+		if got := hex.EncodeToString(encodeHello(tc.s.hello(tc.m))); got != tc.want {
+			t.Errorf("%s: HELLO %s, want %s", tc.name, got, tc.want)
+		}
+	}
+
+	// A round cap needs a rounds-capable task and a cap the wire can carry.
+	if _, err := OpenSession(Config{Workers: []string{"a"}}, task.MustGet("matching"), task.Params{}, 2, 0); err == nil {
+		t.Error("round cap accepted for a task with no multi-round assignment")
+	}
+	for _, rc := range []int{-1, maxWireRounds + 1} {
+		if _, err := OpenSession(Config{Workers: []string{"a"}}, task.MustGet("edcs"), p16, rc, 0); err == nil {
+			t.Errorf("round cap %d accepted", rc)
 		}
 	}
 }
@@ -146,8 +197,8 @@ func TestWorkerSurvivesHostileFrames(t *testing.T) {
 
 	// The worker is still alive and serves an honest run.
 	g := gen.GNP(300, 0.05, rng.New(8))
-	m, _, err := Matching(context.Background(), stream.NewGraphSource(g), Config{Workers: addrs, Seed: 8})
-	if err != nil || m.Size() == 0 {
+	sol, _, err := Solve(context.Background(), stream.NewGraphSource(g), Config{Workers: addrs, Seed: 8}, task.MustGet("matching"), task.Params{})
+	if err != nil || sol.Matching.Size() == 0 {
 		t.Fatalf("worker unusable after hostile frames: %v", err)
 	}
 }

@@ -19,9 +19,10 @@ import (
 )
 
 // Worker is a resident coreset worker: it accepts any number of concurrent
-// run-assignment connections, hosts one stream.Machine per connection — the
-// same incremental builders the in-process runtime uses — and answers each
-// with a single CORESET frame. A worker is stateless between runs: all
+// run-assignment connections, hosts a fresh stream.Machine per round of each
+// connection — the same incremental builders the in-process runtime uses —
+// and answers every round with one CORESET frame (a single-round assignment
+// is one round). A worker is stateless between runs: all
 // per-run state lives on the connection's goroutine and is discarded the
 // moment the connection ends, so a coordinator that vanishes mid-shard costs
 // the worker nothing but a logged line.
@@ -201,8 +202,8 @@ func (w *Worker) Shutdown(ctx context.Context) error {
 	}
 }
 
-// handle speaks one run-assignment: HELLO/ACK handshake, SHARD frames into
-// the machine, EOS, CORESET back. Protocol and decode failures are answered
+// handle speaks one run-assignment: HELLO/ACK handshake, then serveRounds
+// (SHARD frames into the machine, EOS, CORESET back, once per round). Protocol and decode failures are answered
 // with a best-effort ERROR frame before the connection drops. A panic while
 // serving one run (a malformed input the validations missed) is confined to
 // that connection: the worker is resident and must outlive any single
@@ -254,30 +255,18 @@ func (w *Worker) handle(conn net.Conn) (err error) {
 	mk := func() *stream.Machine {
 		return stream.NewMachine(d.NewBuilder(h.k, nHint, task.Params{EDCS: h.edcs}))
 	}
-	if multiRound {
-		return w.serveRounds(conn, h, mk, tr)
+	// A single-round assignment is a one-round assignment: one frame loop
+	// serves both.
+	if !multiRound {
+		h.rounds = 1
 	}
-	m := mk()
-
-	tm := new(workerTelem)
-	for {
-		typ, payload, nr, err := readFrame(conn)
-		if err != nil {
-			return fmt.Errorf("machine %d: reading frame: %w", h.machine, err)
-		}
-		w.countIn(nr)
-		done, err := w.consumeFrame(conn, h, m, 0, typ, payload, tm)
-		if err != nil || done {
-			return err
-		}
-	}
+	return w.serveRounds(conn, h, mk, tr)
 }
 
 // consumeFrame handles one mid-run frame for the given machine: SHARD feeds
 // the builder, EOS finishes it and answers with the CORESET frame (done =
 // true), preceded by a TELEM frame when the HELLO requested telemetry.
-// Shared by the single-round loop and the multi-round loop, so the two paths
-// cannot drift on decoding or validation. tm accumulates the round's phase
+// serveRounds is its one caller loop. tm accumulates the round's phase
 // times and build counters; the caller resets it at round boundaries.
 func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round int, typ byte, payload []byte, tm *workerTelem) (done bool, err error) {
 	fail := func(err error) error {
@@ -335,11 +324,12 @@ func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round i
 	}
 }
 
-// serveRounds speaks a multi-round assignment (internal/rounds): up to
-// h.rounds rounds of SHARD*/EOS on this one connection, each answered by one
-// CORESET, with a FRESH machine per round (built by mk) — round r's input is
-// a different graph (the union of round r-1's coresets across all machines),
-// so nothing may carry over. The coordinator cannot know the final round
+// serveRounds speaks an assignment's rounds: up to h.rounds rounds of
+// SHARD*/EOS on this one connection, each answered by one CORESET, with a
+// FRESH machine per round (built by mk). A single-round assignment is the
+// h.rounds == 1 case; in a multi-round one (internal/rounds) round r's input
+// is a different graph (the union of round r-1's coresets across all
+// machines), so nothing may carry over. The coordinator cannot know the final round
 // count upfront (its early exit fires when the union stops shrinking) and
 // may also drop this machine from later rounds (the schedule shrinks k), so
 // it ends the assignment by closing the connection at a round boundary; a
@@ -356,8 +346,8 @@ func (w *Worker) serveRounds(conn net.Conn, h hello, mk func() *stream.Machine, 
 			if err != nil {
 				// Only an orderly close (clean EOF before any frame of a new
 				// round) is the documented end-of-run signal; resets,
-				// timeouts and mid-header EOFs are real aborts and must be
-				// surfaced, exactly as the single-round path surfaces them.
+				// timeouts, mid-header EOFs and any EOF in round 0 are real
+				// aborts and must be surfaced.
 				if !inRound && round > 0 && errors.Is(err, io.EOF) {
 					return nil
 				}

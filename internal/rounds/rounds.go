@@ -25,9 +25,11 @@
 //   - Stream feeds round 0 from any stream.EdgeSource (never materializing
 //     the original input) and later rounds from the in-memory union, which
 //     is coordinator state the MPC model already charges for.
-//   - Cluster drives a real worker fleet through one cluster.EDCSSession:
-//     the connections are dialed once, one HELLO carries the round cap, and
-//     every round's communication is MEASURED off the TCP connections.
+//   - Cluster drives a real worker fleet through one cluster.Session — the
+//     same conversation engine a single-round cluster.Solve runs for one
+//     round: each connection is dialed once, its HELLO carries the round
+//     cap, and every round's communication is MEASURED off the TCP
+//     connections.
 //
 // All three produce deep-equal per-machine coresets for the same
 // (graph, seed, k, β, rounds) — the multi-round extension of the seed
@@ -320,7 +322,7 @@ func union(coresets [][]graph.Edge) []graph.Edge {
 // runRound executes one round and returns its per-machine coresets, the
 // round accounting and the vertex count the round observed (constant across
 // rounds; drive records it from round 0). Implementations: batch HashK +
-// edcs.Coreset, the streaming pipeline, one cluster.EDCSSession round.
+// edcs.Coreset, the streaming pipeline, one cluster.Session round.
 type runRound func(ctx context.Context, input stream.EdgeSource, k int, seed uint64) (coresets [][]graph.Edge, rs RoundStat, n int, err error)
 
 // drive is the schedule shared by the three runtimes: run rounds with
@@ -424,9 +426,11 @@ func Stream(ctx context.Context, src stream.EdgeSource, cfg Config) (*matching.M
 }
 
 // Cluster runs the multi-round driver over a real worker fleet through one
-// cluster.EDCSSession: the worker connections are dialed once and reused
-// across rounds, one HELLO per run carries the round cap, and every round's
-// communication lands in the round breakdown as MEASURED wire bytes. The
+// cluster.Session opened with the round cap: each worker connection is
+// dialed on first use and reused across rounds, its one HELLO carries the
+// rounds owed, and every round's communication lands in the round breakdown
+// as MEASURED wire bytes. A worker lost in any round — round 0's dial
+// included — is replayed under ccfg.MaxRetries like a single-round run. The
 // fleet size overrides cfg.K (one machine per worker, as everywhere in the
 // cluster runtime).
 func Cluster(ctx context.Context, src stream.EdgeSource, ccfg cluster.Config, cfg Config) (*matching.Matching, *Stats, error) {
@@ -446,7 +450,7 @@ func Cluster(ctx context.Context, src stream.EdgeSource, ccfg cluster.Config, cf
 	if src != nil && src.KnownUpfront() {
 		nHint = src.NumVertices()
 	}
-	sess, err := cluster.DialEDCSRounds(ctx, ccfg, cfg.Params, cfg.Rounds, nHint)
+	sess, err := cluster.OpenSession(ccfg, task.RoundsCapable(), task.Params{EDCS: cfg.Params}, cfg.Rounds, nHint)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -460,8 +464,9 @@ func Cluster(ctx context.Context, src stream.EdgeSource, ccfg cluster.Config, cf
 		for i, s := range sums {
 			coresets[i] = s.Coreset
 		}
-		rs := RoundStat{
+		return coresets, RoundStat{
 			InputEdges:         cst.EdgesTotal,
+			CoresetEdges:       cst.CoresetEdges,
 			TotalCommBytes:     cst.TotalCommBytes,
 			MaxMachineBytes:    cst.MaxMachineBytes,
 			EstCommBytes:       cst.EstCommBytes,
@@ -471,11 +476,7 @@ func Cluster(ctx context.Context, src stream.EdgeSource, ccfg cluster.Config, cf
 			ReplayedMachines:   cst.ReplayedMachines,
 			MachineStats:       cst.MachineStats,
 			Duration:           cst.Duration,
-		}
-		for _, cs := range coresets {
-			rs.CoresetEdges = append(rs.CoresetEdges, len(cs))
-		}
-		return coresets, rs, cst.N, nil
+		}, cst.N, nil
 	}
 	return drive(ctx, src, cfg, exec)
 }

@@ -2,8 +2,10 @@ package rounds
 
 import (
 	"context"
+	"net"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/edcs"
@@ -282,8 +284,9 @@ func TestReport(t *testing.T) {
 }
 
 // TestClusterSessionReuse: one session serves every round over the same
-// connections — the Fleet/RoundsRun accounting proves the conversation
-// shape (one HELLO, several rounds) rather than per-round redials.
+// connections — the RoundsRun and per-round shard accounting prove the
+// conversation shape (one HELLO, several rounds) rather than per-round
+// redials.
 func TestClusterSessionReuse(t *testing.T) {
 	addrs, shutdown, err := cluster.ServeLoopback(4)
 	if err != nil {
@@ -312,5 +315,49 @@ func TestClusterSessionReuse(t *testing.T) {
 	}
 	if sum != st.ShardBytes {
 		t.Fatalf("per-round shard bytes %d do not sum to %d", sum, st.ShardBytes)
+	}
+}
+
+// TestClusterRoundZeroDialReplay: a multi-round cluster job whose fleet
+// names a dead address recovers in round 0 exactly as a single-round run
+// does. The machine dials inside its own round, the refused dial is a
+// retryable worker failure, and the round is replayed on the spare; the
+// answer deep-equals the in-process driver's on the same input.
+func TestClusterRoundZeroDialReplay(t *testing.T) {
+	addrs, shutdown, err := cluster.ServeLoopback(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+
+	g := gen.GNP(600, 30.0/600, rng.New(5))
+	cfg := Config{K: 2, Rounds: 2, Seed: 5, Params: edcs.ParamsForBeta(16)}
+	m, st, err := Cluster(context.Background(), stream.NewGraphSource(g), cluster.Config{
+		Workers:      []string{addrs[0], dead},
+		Spares:       []string{addrs[1]},
+		MaxRetries:   2,
+		RetryBackoff: time.Millisecond,
+	}, cfg)
+	if err != nil {
+		t.Fatalf("dead round-0 address not recovered: %v", err)
+	}
+	if !reflect.DeepEqual(st.Rounds[0].ReplayedMachines, []int{1}) {
+		t.Fatalf("round 0 ReplayedMachines = %v, want [1]", st.Rounds[0].ReplayedMachines)
+	}
+	wm, wst, err := Stream(context.Background(), stream.NewGraphSource(g), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m, wm) {
+		t.Fatal("cluster matching after a round-0 replay differs from the stream driver's")
+	}
+	if !reflect.DeepEqual(st.Coresets, wst.Coresets) {
+		t.Fatal("cluster coresets after a round-0 replay differ from the stream driver's")
 	}
 }
