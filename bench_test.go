@@ -214,9 +214,10 @@ func BenchmarkEDCSVsMatchingCoreset(b *testing.B) {
 // (internal/rounds) at increasing round caps on one dense input: every extra
 // round adds per-machine EDCS rebuild work and another wave of coreset
 // messages (commbytes grows) but shrinks the union the coordinator must run
-// the exact matcher over (composeedges falls) — which is why deeper runs can
-// be FASTER end to end: the exact matcher dominates, and it now sees a far
-// smaller graph. Baseline numbers are committed in BENCH_rounds.json.
+// the exact matcher over (composeedges falls). The compose is cheap next to
+// the rebuilds, so on one box deeper runs are slower end to end; what the
+// rounds buy is a smaller composition input. Baseline numbers are committed
+// in BENCH_rounds.json.
 func BenchmarkMultiRoundEDCS(b *testing.B) {
 	g := benchGraph(16384, 24, 31)
 	p := edcs.ParamsForBeta(8)

@@ -37,7 +37,7 @@ type Worker struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	served atomic.Int64 // CORESET frames answered (runs, or rounds of multi-round runs)
+	served atomic.Int64 // CORESET answers built, counted before the write (runs, or rounds of multi-round runs)
 }
 
 // NewWorker returns a worker logging to logger (nil: discard).
@@ -312,12 +312,14 @@ func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round i
 			}
 			w.countOut(nw)
 		}
+		// Count the answer before writing it: once the coordinator has
+		// read the CORESET, a scrape must already see it.
+		w.served.Add(1)
 		nw, err := writeFrame(conn, frameCoreset, body)
 		if err != nil {
 			return false, fmt.Errorf("machine %d round %d: writing CORESET: %w", h.machine, round, err)
 		}
 		w.countOut(nw)
-		w.served.Add(1)
 		return true, nil
 	default:
 		return false, fail(fmt.Errorf("cluster: unexpected frame 0x%02x mid-shard", typ))

@@ -7,6 +7,13 @@
 // G(i)"; it is algorithm-agnostic, so the package exposes Maximum, which
 // dispatches to Hopcroft-Karp when the input is 2-colorable and to the
 // blossom algorithm otherwise.
+//
+// Blossom is the exact matcher behind every Theorem 1 coreset and compose
+// step. Each root's search costs only the vertices it touches and each
+// blossom contraction only its cycle (union-find bases), so per-machine
+// parts that touch a small share of the global vertex range stay cheap. Its
+// mate array is pinned bit for bit to a frozen copy of the original
+// O(V^3) implementation by differential tests and the FuzzBlossom target.
 package matching
 
 import (
@@ -165,5 +172,5 @@ func Maximum(n int, edges []graph.Edge) *Matching {
 		}
 		return m
 	}
-	return Blossom(n, edges)
+	return blossom(n, edges, adj)
 }
