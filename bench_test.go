@@ -226,7 +226,7 @@ func BenchmarkMultiRoundEDCS(b *testing.B) {
 			b.ReportAllocs()
 			var st *rounds.Stats
 			for i := 0; i < b.N; i++ {
-				m, rst, err := rounds.Batch(g, rounds.Config{K: 16, Rounds: rc, Seed: 31, Params: p})
+				m, rst, err := rounds.Batch(context.Background(), g, rounds.Config{K: 16, Rounds: rc, Seed: 31, Params: p})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -250,11 +250,11 @@ func BenchmarkStreamPipeline(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, _, err := stream.Matching(stream.NewGraphSource(g), stream.Config{K: 16, Seed: uint64(i + 1)})
+		m, _, err := stream.Solve(context.Background(), stream.NewGraphSource(g), stream.Config{K: 16, Seed: uint64(i + 1)}, task.MustGet("matching"), task.Params{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if m.Size() == 0 {
+		if m.Size == 0 {
 			b.Fatal("empty matching")
 		}
 	}
@@ -293,11 +293,11 @@ func BenchmarkClusterVsStream(b *testing.B) {
 	b.Run("stream", func(b *testing.B) {
 		comm := 0
 		for i := 0; i < b.N; i++ {
-			m, st, err := stream.Matching(stream.NewGraphSource(g), stream.Config{K: k, Seed: uint64(i + 1)})
+			m, st, err := stream.Solve(context.Background(), stream.NewGraphSource(g), stream.Config{K: k, Seed: uint64(i + 1)}, task.MustGet("matching"), task.Params{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if m.Size() == 0 {
+			if m.Size == 0 {
 				b.Fatal("empty matching")
 			}
 			comm = st.TotalCommBytes

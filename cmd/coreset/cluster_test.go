@@ -192,8 +192,8 @@ func TestClusterChaosSIGKILL(t *testing.T) {
 			t.Fatalf("round 0 Retries = %d, want 0 (undisturbed)", st.Retries)
 		}
 
-		want, _, err := stream.EDCSSummaries(context.Background(),
-			stream.NewSliceSource(g.N, input), stream.Config{K: 2, Seed: seeds[r], BatchSize: 64}, p)
+		want, _, err := stream.Summaries(context.Background(),
+			stream.NewSliceSource(g.N, input), stream.Config{K: 2, Seed: seeds[r], BatchSize: 64}, task.MustGet("edcs"), task.Params{EDCS: p})
 		if err != nil {
 			t.Fatal(err)
 		}

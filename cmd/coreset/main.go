@@ -54,7 +54,9 @@
 //
 // With -json the run report is emitted as a single JSON object using the
 // same schema (graph.RunReport) the coresetd service returns for jobs, so
-// CLI runs and service queries are interchangeable downstream.
+// CLI runs and service queries are interchangeable downstream. Every mode
+// runs through runner.Run, the entry point coresetd's jobs use too, and the
+// text output is rendered from that same report.
 //
 // With -trace the run logs span events to stderr (run.start/run.end, plus
 // per-round spans for -rounds and shard spans for -stream), each stamped
@@ -93,20 +95,15 @@ import (
 	"log"
 	"net"
 	"os"
-	"time"
-
 	"strings"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dataset"
-	"repro/internal/edcs"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/matching"
 	"repro/internal/obs"
-	"repro/internal/rng"
-	rnd "repro/internal/rounds"
-	"repro/internal/service"
+	"repro/internal/runner"
 	"repro/internal/stream"
 	"repro/internal/task"
 )
@@ -153,12 +150,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// One validator for -beta and -rounds across every surface
-	// (service.ValidateTaskParams is also what coresetd's job API and
+	// (task.ValidateParams is also what coresetd's job API and
 	// cmd/coresetload call): the flags only mean something for tasks whose
 	// registry descriptor declares the capability, and each is an error —
 	// never a silent fallback or a silently ignored flag — outside its
 	// range, with identical message text everywhere.
-	if err := service.ValidateTaskParams(*taskName, *beta, *rounds); err != nil {
+	if err := task.ValidateParams(*taskName, *beta, *rounds); err != nil {
 		fmt.Fprintln(stderr, "coreset:", err)
 		return 2
 	}
@@ -192,64 +189,68 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *traceF {
 		tracer = obs.NewTextTracer(stderr, obs.RunIDFromSeed(*seed))
 	}
-	mode := "batch"
+	mode := runner.ModeBatch
 	switch {
 	case *clusterTo != "":
-		mode = "cluster"
+		mode = runner.ModeCluster
 	case *streaming:
-		mode = "stream"
+		mode = runner.ModeStream
 	}
+	spec := runner.Spec{Task: desc, Beta: *beta, Mode: mode, K: *k, Rounds: *rounds, Seed: *seed,
+		BatchSize: *batch, BatchWorkers: *workers, Trace: tracer}
 	input := inputSpec{in: *in, genName: *genName, dataset: *dsDir, n: *n, deg: *deg, seed: *seed}
 	endRun := tracer.Span("run", "task", *taskName, "mode", mode, "k", *k, "seed", *seed)
-	var code int
-	switch mode {
-	case "cluster":
-		code = runCluster(desc, input, *k, *batch, *beta, *rounds, *retries, *clusterTo, *traceOut, *quiet, *jsonOut, tracer, stdout, stderr)
-	case "stream":
-		code = runStream(desc, input, *k, *batch, *beta, *rounds, *quiet, *jsonOut, tracer, stdout, stderr)
-	default:
-		code = runBatch(desc, input, *k, *workers, *beta, *rounds, *quiet, *jsonOut, tracer, stdout, stderr)
-	}
+	code := execute(spec, input, *clusterTo, *retries, *traceOut, *quiet, *jsonOut, stdout, stderr)
 	endRun("code", code)
 	return code
 }
 
-// roundsConfig assembles the multi-round driver configuration shared by the
-// three runtimes (engaged by -rounds N with N >= 1).
-func roundsConfig(k, roundCap int, seed uint64, p edcs.Params, batch, workers int, tr *obs.Tracer) rnd.Config {
-	return rnd.Config{K: k, Rounds: roundCap, Seed: seed, Params: p, BatchSize: batch, Workers: workers, Trace: tr}
-}
-
-// printRoundStats prints the per-round breakdown of a multi-round run.
-func printRoundStats(stdout io.Writer, st *rnd.Stats, measured bool) {
-	label := "est"
-	if measured {
-		label = "measured"
-	}
-	fmt.Fprintf(stdout, "rounds: %d of %d (cap); total comm %d bytes (%s)\n",
-		st.RoundsRun, st.RoundCap, st.TotalCommBytes, label)
-	for _, rs := range st.Rounds {
-		fmt.Fprintf(stdout, "  round %d: k=%d input=%d union=%d comm=%d bytes\n",
-			rs.Round, rs.K, rs.InputEdges, rs.UnionEdges, rs.TotalCommBytes)
-		if rs.Retries > 0 {
-			fmt.Fprintf(stdout, "    recovery: %d replay attempts, machines replayed %v\n",
-				rs.Retries, rs.ReplayedMachines)
+// execute opens the input (and, in cluster mode, the worker fleet), runs
+// the spec through runner.Run and renders the report.
+func execute(spec runner.Spec, input inputSpec, clusterTo string, retries int, traceOut string, quiet, jsonOut bool, stdout, stderr io.Writer) int {
+	if spec.Mode == runner.ModeCluster {
+		addrs, cleanup, err := resolveCluster(clusterTo, spec.K, stderr)
+		if err != nil {
+			fmt.Fprintln(stderr, "coreset:", err)
+			return 1
 		}
-		printMachineStats(stdout, rs.MachineStats, "    ")
-	}
-}
-
-// printMachineStats prints the per-machine phase telemetry the workers
-// reported in their TELEM frames (cluster runs only; empty elsewhere).
-func printMachineStats(stdout io.Writer, ms []graph.MachineStats, indent string) {
-	for _, m := range ms {
-		replayed := ""
-		if m.Replayed {
-			replayed = " (replayed)"
+		if cleanup != nil {
+			defer cleanup()
 		}
-		fmt.Fprintf(stdout, "%smachine %d: decode %.2fms build %.2fms encode %.2fms; %d edges in, %d repair iters, %d removals, peak |H| %d%s\n",
-			indent, m.Machine, m.DecodeMS, m.BuildMS, m.EncodeMS, m.EdgesIn, m.RepairIters, m.Removals, m.PeakCoreset, replayed)
+		if retries < 0 {
+			retries = cluster.DefaultMaxRetries // -1 means unset: replay on by default
+		}
+		// The run ID shipped to every worker in the HELLO frame is the same
+		// seed-derived ID -trace stamps on coordinator spans, so worker-side
+		// trace streams join the coordinator's without coordination.
+		spec.Fleet, spec.MaxRetries, spec.RunID = addrs, retries, obs.RunIDFromSeed(spec.Seed)
 	}
+	src, closeSrc, err := openSource(input)
+	if err != nil {
+		fmt.Fprintln(stderr, "coreset:", err)
+		return 1
+	}
+	if closeSrc != nil {
+		defer closeSrc()
+	}
+	spec.Source = src
+	_, rep, err := runner.Run(context.Background(), spec)
+	if err != nil {
+		fmt.Fprintln(stderr, "coreset:", err)
+		return 1
+	}
+	// The Perfetto timeline is written even for -q and -json runs.
+	if traceOut != "" {
+		if err := writeChromeTrace(traceOut, rep); err != nil {
+			fmt.Fprintln(stderr, "coreset:", err)
+			return 1
+		}
+	}
+	if jsonOut {
+		return emitReport(stdout, rep)
+	}
+	printReport(stdout, rep, quiet)
+	return 0
 }
 
 // emitReport writes the JSON run report, the CLI's machine-readable output.
@@ -262,133 +263,109 @@ func emitReport(stdout io.Writer, rep *graph.RunReport) int {
 	return 0
 }
 
-func runBatch(d *task.Descriptor, input inputSpec, k, workers, beta, rounds int, quiet, jsonOut bool, tracer *obs.Tracer, stdout, stderr io.Writer) int {
-	seed := input.seed
-	g, err := loadGraph(input)
-	if err != nil {
-		fmt.Fprintln(stderr, "coreset:", err)
-		return 1
-	}
-	if err := g.Validate(); err != nil {
-		fmt.Fprintln(stderr, "coreset: invalid input:", err)
-		return 1
-	}
-	if !quiet && !jsonOut {
-		fmt.Fprintf(stdout, "graph: n=%d m=%d, k=%d machines\n", g.N, g.M(), k)
-	}
-
-	p := task.Params{}
-	if d.UsesBeta {
-		p.EDCS = edcs.ParamsForBeta(beta)
-	}
-	if rounds >= 1 {
-		// Validation already restricted -rounds to the rounds-capable task.
-		m, st, err := rnd.Batch(g, roundsConfig(k, rounds, seed, p.EDCS, 0, workers, tracer))
-		if err != nil {
-			fmt.Fprintln(stderr, "coreset:", err)
-			return 1
-		}
-		if err := matching.Verify(g.N, g.Edges, m); err != nil {
-			fmt.Fprintln(stderr, "coreset: internal error:", err)
-			return 1
-		}
-		if jsonOut {
-			return emitReport(stdout, st.Report("batch", seed, m.Size(), p.EDCS.Beta))
-		}
-		if !quiet {
-			printRoundStats(stdout, st, false)
-		}
-		fmt.Fprintf(stdout, "%s: %d %s (multi-round, %d rounds, %d machines)\n",
-			d.SolutionNoun, m.Size(), d.SolutionUnit, st.RoundsRun, k)
-		return 0
-	}
-	start := time.Now()
-	sol, st := d.Batch(g, k, workers, seed, p)
-	dur := time.Since(start)
-	if d.Verify != nil {
-		if err := d.Verify(g.N, g.Edges, sol); err != nil {
-			fmt.Fprintln(stderr, "coreset: internal error:", err)
-			return 1
-		}
-	}
-	if jsonOut {
-		rep := st.Report(d.Name, g.N, g.M(), seed, sol.Size, dur)
-		if d.UsesBeta {
-			rep.Beta = p.EDCS.Beta
-		}
-		return emitReport(stdout, rep)
-	}
-	if !quiet {
-		if d.FixedLabel != "" {
-			fmt.Fprintf(stdout, "%s: %v\n", d.FixedLabel, st.CoresetFixed)
-		}
-		fmt.Fprintf(stdout, "%s: %v\n", d.CoresetLabel, st.CoresetEdges)
-		fmt.Fprintf(stdout, "communication: total %d bytes, max machine %d bytes\n",
-			st.TotalCommBytes, st.MaxMachineBytes)
-	}
-	fmt.Fprintf(stdout, "%s: %d %s (distributed, %d machines)\n", d.SolutionNoun, sol.Size, d.SolutionUnit, k)
-	return 0
+// modeLabel is how each mode names itself on the summary line.
+var modeLabel = map[string]string{
+	runner.ModeBatch:   "distributed",
+	runner.ModeStream:  "streamed",
+	runner.ModeCluster: "cluster",
 }
 
-func runStream(d *task.Descriptor, input inputSpec, k, batch, beta, rounds int, quiet, jsonOut bool, tracer *obs.Tracer, stdout, stderr io.Writer) int {
-	seed := input.seed
-	src, closeSrc, err := openSource(input)
-	if err != nil {
-		fmt.Fprintln(stderr, "coreset:", err)
-		return 1
-	}
-	if closeSrc != nil {
-		defer closeSrc()
-	}
-	cfg := stream.Config{K: k, Seed: seed, BatchSize: batch, Trace: tracer}
-
-	p := task.Params{}
-	if d.UsesBeta {
-		p.EDCS = edcs.ParamsForBeta(beta)
-	}
-	if rounds >= 1 {
-		m, st, err := rnd.Stream(context.Background(), src, roundsConfig(k, rounds, seed, p.EDCS, batch, 0, tracer))
-		if err != nil {
-			fmt.Fprintln(stderr, "coreset:", err)
-			return 1
-		}
-		if jsonOut {
-			return emitReport(stdout, st.Report("stream", seed, m.Size(), p.EDCS.Beta))
-		}
-		if !quiet {
-			printRoundStats(stdout, st, false)
-		}
-		fmt.Fprintf(stdout, "%s: %d %s (multi-round streamed, %d rounds, %d machines)\n",
-			d.SolutionNoun, m.Size(), d.SolutionUnit, st.RoundsRun, k)
-		return 0
-	}
-	sol, st, err := stream.Solve(context.Background(), src, cfg, d, p)
-	if err != nil {
-		fmt.Fprintln(stderr, "coreset:", err)
-		return 1
-	}
-	if jsonOut {
-		rep := st.Report(d.Name, seed, sol.Size)
-		if d.UsesBeta {
-			rep.Beta = p.EDCS.Beta
-		}
-		return emitReport(stdout, rep)
-	}
+// printReport renders a run report as text: unless quiet, the mode's
+// header lines and the per-machine or per-round breakdown, then the one
+// summary line.
+func printReport(w io.Writer, rep *graph.RunReport, quiet bool) {
+	d := task.MustGet(rep.Task)
 	if !quiet {
-		printStreamStats(stdout, st)
-		if d.FixedLabel != "" {
-			fmt.Fprintf(stdout, "%s: %v\n", d.FixedLabel, st.CoresetFixed)
+		printDetails(w, d, rep)
+	}
+	if rep.RoundsRun > 0 {
+		label := "multi-round"
+		if rep.Mode != runner.ModeBatch {
+			label += " " + modeLabel[rep.Mode]
 		}
-		fmt.Fprintf(stdout, "%s: %v\n", d.CoresetLabel, st.CoresetEdges)
+		fmt.Fprintf(w, "%s: %d %s (%s, %d rounds, %d machines)\n",
+			d.SolutionNoun, rep.SolutionSize, d.SolutionUnit, label, rep.RoundsRun, rep.K)
+		return
+	}
+	fmt.Fprintf(w, "%s: %d %s (%s, %d machines)\n", d.SolutionNoun, rep.SolutionSize, d.SolutionUnit, modeLabel[rep.Mode], rep.K)
+}
+
+// printDetails prints the lines above the summary line.
+func printDetails(w io.Writer, d *task.Descriptor, rep *graph.RunReport) {
+	multiRound := rep.RoundsRun > 0
+	switch {
+	case rep.Mode == runner.ModeBatch:
+		fmt.Fprintf(w, "graph: n=%d m=%d, k=%d machines\n", rep.N, rep.M, rep.K)
+	case multiRound:
+		// The round breakdown below is the header of these runs.
+	case rep.Mode == runner.ModeStream:
+		fmt.Fprintf(w, "stream: n=%d, %d edges in %d batches, k=%d machines\n", rep.N, rep.M, rep.Batches, rep.K)
+		fmt.Fprintf(w, "communication: total %d bytes, max machine %d bytes\n", rep.TotalCommBytes, rep.MaxMachineBytes)
+		fmt.Fprintf(w, "throughput: %.0f edges/sec (%.1f ms)\n", rep.EdgesPerSec, rep.DurationMS)
+	case rep.Mode == runner.ModeCluster:
+		fmt.Fprintf(w, "cluster: n=%d, %d edges in %d batches, k=%d worker processes\n", rep.N, rep.M, rep.Batches, rep.K)
+		fmt.Fprintf(w, "communication (measured): total %d bytes, max machine %d bytes; simulated estimate %d bytes\n",
+			rep.TotalCommBytes, rep.MaxMachineBytes, rep.EstCommBytes)
+		fmt.Fprintf(w, "shard traffic: %d bytes to workers; throughput %.0f edges/sec (%.1f ms)\n",
+			rep.ShardBytes, rep.EdgesPerSec, rep.DurationMS)
+		printRecovery(w, rep.Retries, rep.ReplayedMachines, "")
+		printMachineStats(w, rep.MachineStats, "  ")
+	}
+	if multiRound {
+		printRoundStats(w, rep)
+		return
+	}
+	if d.FixedLabel != "" {
+		fmt.Fprintf(w, "%s: %v\n", d.FixedLabel, rep.CoresetFixed)
+	}
+	fmt.Fprintf(w, "%s: %v\n", d.CoresetLabel, rep.CoresetEdges)
+	switch rep.Mode {
+	case runner.ModeBatch:
+		fmt.Fprintf(w, "communication: total %d bytes, max machine %d bytes\n", rep.TotalCommBytes, rep.MaxMachineBytes)
+	case runner.ModeStream:
 		if d.ShowStored {
-			fmt.Fprintf(stdout, "stored vs received per machine: %v / %v\n", st.StoredEdges, st.PartEdges)
+			fmt.Fprintf(w, "stored vs received per machine: %v / %v\n", rep.StoredEdges, rep.PartEdges)
 		}
 		if d.LiveLabel != "" {
-			fmt.Fprintf(stdout, "%s: %v\n", d.LiveLabel, st.Live)
+			fmt.Fprintf(w, "%s: %v\n", d.LiveLabel, rep.Live)
 		}
 	}
-	fmt.Fprintf(stdout, "%s: %d %s (streamed, %d machines)\n", d.SolutionNoun, sol.Size, d.SolutionUnit, k)
-	return 0
+}
+
+// printRoundStats prints the per-round breakdown of a multi-round run.
+func printRoundStats(w io.Writer, rep *graph.RunReport) {
+	label := "est"
+	if rep.Mode == runner.ModeCluster {
+		label = "measured"
+	}
+	fmt.Fprintf(w, "rounds: %d of %d (cap); total comm %d bytes (%s)\n",
+		rep.RoundsRun, rep.Rounds, rep.TotalCommBytes, label)
+	for _, rs := range rep.RoundStats {
+		fmt.Fprintf(w, "  round %d: k=%d input=%d union=%d comm=%d bytes\n",
+			rs.Round, rs.K, rs.InputEdges, rs.UnionEdges, rs.TotalCommBytes)
+		printRecovery(w, rs.Retries, rs.ReplayedMachines, "    ")
+		printMachineStats(w, rs.MachineStats, "    ")
+	}
+}
+
+// printRecovery prints the replay line of a cluster run or round, if any.
+func printRecovery(w io.Writer, retries int, replayed []int, indent string) {
+	if retries > 0 {
+		fmt.Fprintf(w, "%srecovery: %d replay attempts, machines replayed %v\n", indent, retries, replayed)
+	}
+}
+
+// printMachineStats prints the per-machine phase telemetry the workers
+// reported in their TELEM frames (cluster runs only; empty elsewhere).
+func printMachineStats(w io.Writer, ms []graph.MachineStats, indent string) {
+	for _, m := range ms {
+		replayed := ""
+		if m.Replayed {
+			replayed = " (replayed)"
+		}
+		fmt.Fprintf(w, "%smachine %d: decode %.2fms build %.2fms encode %.2fms; %d edges in, %d repair iters, %d removals, peak |H| %d%s\n",
+			indent, m.Machine, m.DecodeMS, m.BuildMS, m.EncodeMS, m.EdgesIn, m.RepairIters, m.Removals, m.PeakCoreset, replayed)
+	}
 }
 
 // runWorker is the internal worker mode "-cluster local" forks: serve runs
@@ -434,116 +411,6 @@ func resolveCluster(spec string, k int, stderr io.Writer) (addrs []string, clean
 	return lw.Addrs(), func() { _ = lw.Close() }, nil
 }
 
-func runCluster(d *task.Descriptor, input inputSpec, k, batch, beta, rounds, retries int, spec, traceOut string, quiet, jsonOut bool, tracer *obs.Tracer, stdout, stderr io.Writer) int {
-	seed := input.seed
-	addrs, cleanup, err := resolveCluster(spec, k, stderr)
-	if err != nil {
-		fmt.Fprintln(stderr, "coreset:", err)
-		return 1
-	}
-	if cleanup != nil {
-		defer cleanup()
-	}
-	src, closeSrc, err := openSource(input)
-	if err != nil {
-		fmt.Fprintln(stderr, "coreset:", err)
-		return 1
-	}
-	if closeSrc != nil {
-		defer closeSrc()
-	}
-	k = len(addrs) // one machine per worker address
-	if retries < 0 {
-		retries = cluster.DefaultMaxRetries // -1 means unset: replay on by default
-	}
-	// The run ID shipped to every worker in the HELLO frame is the same
-	// seed-derived ID -trace stamps on coordinator spans, so worker-side
-	// trace streams join the coordinator's without coordination.
-	cfg := cluster.Config{Workers: addrs, Seed: seed, BatchSize: batch, MaxRetries: retries, RunID: obs.RunIDFromSeed(seed)}
-	ctx := context.Background()
-
-	// emit finishes a successful run: the Perfetto timeline first (it must
-	// be written even for -q and -json runs), then the JSON report when
-	// asked. Returns the exit code, or -1 to continue with text output.
-	emit := func(rep *graph.RunReport) int {
-		if traceOut != "" {
-			if err := writeChromeTrace(traceOut, rep); err != nil {
-				fmt.Fprintln(stderr, "coreset:", err)
-				return 1
-			}
-		}
-		if jsonOut {
-			return emitReport(stdout, rep)
-		}
-		return -1
-	}
-
-	p := task.Params{}
-	if d.UsesBeta {
-		p.EDCS = edcs.ParamsForBeta(beta)
-	}
-	if rounds >= 1 {
-		m, st, err := rnd.Cluster(ctx, src, cfg, roundsConfig(k, rounds, seed, p.EDCS, batch, 0, tracer))
-		if err != nil {
-			fmt.Fprintln(stderr, "coreset:", err)
-			return 1
-		}
-		if code := emit(st.Report("cluster", seed, m.Size(), p.EDCS.Beta)); code >= 0 {
-			return code
-		}
-		if !quiet {
-			printRoundStats(stdout, st, true)
-		}
-		fmt.Fprintf(stdout, "%s: %d %s (multi-round cluster, %d rounds, %d machines)\n",
-			d.SolutionNoun, m.Size(), d.SolutionUnit, st.RoundsRun, k)
-		return 0
-	}
-	sol, st, err := cluster.Solve(ctx, src, cfg, d, p)
-	if err != nil {
-		fmt.Fprintln(stderr, "coreset:", err)
-		return 1
-	}
-	rep := st.Report(d.Name, seed, sol.Size)
-	if d.UsesBeta {
-		rep.Beta = p.EDCS.Beta
-	}
-	if code := emit(rep); code >= 0 {
-		return code
-	}
-	if !quiet {
-		printClusterStats(stdout, st)
-		if d.FixedLabel != "" {
-			fmt.Fprintf(stdout, "%s: %v\n", d.FixedLabel, st.CoresetFixed)
-		}
-		fmt.Fprintf(stdout, "%s: %v\n", d.CoresetLabel, st.CoresetEdges)
-	}
-	fmt.Fprintf(stdout, "%s: %d %s (cluster, %d machines)\n", d.SolutionNoun, sol.Size, d.SolutionUnit, k)
-	return 0
-}
-
-func printClusterStats(stdout io.Writer, st *cluster.Stats) {
-	fmt.Fprintf(stdout, "cluster: n=%d, %d edges in %d batches, k=%d worker processes\n",
-		st.N, st.EdgesTotal, st.Batches, st.K)
-	fmt.Fprintf(stdout, "communication (measured): total %d bytes, max machine %d bytes; simulated estimate %d bytes\n",
-		st.TotalCommBytes, st.MaxMachineBytes, st.EstCommBytes)
-	fmt.Fprintf(stdout, "shard traffic: %d bytes to workers; throughput %.0f edges/sec (%.1f ms)\n",
-		st.ShardBytes, st.EdgesPerSec(), float64(st.Duration.Microseconds())/1000)
-	if st.Retries > 0 {
-		fmt.Fprintf(stdout, "recovery: %d replay attempts, machines replayed %v\n",
-			st.Retries, st.ReplayedMachines)
-	}
-	printMachineStats(stdout, st.MachineStats, "  ")
-}
-
-func printStreamStats(stdout io.Writer, st *stream.Stats) {
-	fmt.Fprintf(stdout, "stream: n=%d, %d edges in %d batches, k=%d machines\n",
-		st.N, st.EdgesTotal, st.Batches, st.K)
-	fmt.Fprintf(stdout, "communication: total %d bytes, max machine %d bytes\n",
-		st.TotalCommBytes, st.MaxMachineBytes)
-	fmt.Fprintf(stdout, "throughput: %.0f edges/sec (%.1f ms)\n",
-		st.EdgesPerSec(), float64(st.Duration.Microseconds())/1000)
-}
-
 // inputSpec bundles the CLI flags that name an input graph: an edge-list
 // file, a generator draw, or a stored dataset directory. One dispatch
 // (openSource) serves every runtime, so the modes can never drift apart on
@@ -568,17 +435,11 @@ func openSource(sp inputSpec) (stream.EdgeSource, func() error, error) {
 		return stream.NewDatasetSource(d), d.Close, nil
 	}
 	if sp.genName != "" {
-		n, deg, seed := sp.n, sp.deg, sp.seed
-		switch sp.genName {
-		case "gnp":
-			return stream.NewIterSource(n, func() gen.EdgeIter { return gen.GNPIter(n, deg/float64(n), rng.New(seed)) }), nil, nil
-		case "star":
-			return stream.NewIterSource(n, func() gen.EdgeIter { return gen.StarIter(n) }), nil, nil
-		case "powerlaw":
-			return stream.NewIterSource(n, func() gen.EdgeIter { return gen.PowerlawIter(n, 2.0, n/16+1, rng.New(seed)) }), nil, nil
-		default:
-			return nil, nil, fmt.Errorf("unknown generator %q", sp.genName)
+		mint, err := gen.Named(sp.genName, sp.n, sp.deg, sp.seed)
+		if err != nil {
+			return nil, nil, err
 		}
+		return stream.NewIterSource(sp.n, mint), nil, nil
 	}
 	switch sp.in {
 	case "":
@@ -688,30 +549,4 @@ func ingestSource(sp inputSpec, dir string, opts dataset.IngestOptions) (*datase
 		}
 	}
 	return b.Finish(src.NumVertices(), opts.Source, 0, 0)
-}
-
-// loadGraph materializes the same input openSource streams: one dispatch,
-// two consumption modes, so batch and -stream can never drift apart on what
-// a given set of input flags means.
-func loadGraph(sp inputSpec) (*graph.Graph, error) {
-	src, closeSrc, err := openSource(sp)
-	if err != nil {
-		return nil, err
-	}
-	if closeSrc != nil {
-		defer closeSrc()
-	}
-	var edges []graph.Edge
-	buf := make([]graph.Edge, 4096)
-	for {
-		c, err := src.Next(buf)
-		edges = append(edges, buf[:c]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return &graph.Graph{N: src.NumVertices(), Edges: edges}, nil
 }

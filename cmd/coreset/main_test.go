@@ -10,7 +10,20 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/stream"
 )
+
+// loadGraph materializes the input the flags name, as batch mode does.
+func loadGraph(sp inputSpec) (*graph.Graph, error) {
+	src, closeSrc, err := openSource(sp)
+	if err != nil {
+		return nil, err
+	}
+	if closeSrc != nil {
+		defer closeSrc()
+	}
+	return stream.Materialize(src)
+}
 
 func TestLoadGraphGenerators(t *testing.T) {
 	for _, name := range []string{"gnp", "powerlaw", "star"} {
@@ -376,6 +389,31 @@ func TestCLIRejectsUnusableRounds(t *testing.T) {
 		}
 		if strings.TrimSpace(errOut) != tc.want {
 			t.Fatalf("%s: stderr = %q, want %q", name, errOut, tc.want)
+		}
+	}
+}
+
+// Invalid generator parameters and machine counts must fail every mode with
+// the same one-line error, never a panic.
+func TestCLIRejectsBadSpecs(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "ds")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-gen", "gnp", "-n", "0"}, "coreset: invalid gnp spec (n=0 deg=8)"},
+		{[]string{"-gen", "gnp", "-n", "10", "-deg", "100"}, "coreset: invalid gnp spec (n=10 deg=100)"},
+		{[]string{"-gen", "gnp", "-deg", "-3", "-stream"}, "coreset: invalid gnp spec (n=10000 deg=-3)"},
+		{[]string{"-gen", "star", "-n", "0"}, "coreset: invalid star spec (n=0 deg=8)"},
+		{[]string{"ingest", "-gen", "gnp", "-n", "0", "-out", out}, "coreset ingest: invalid gnp spec (n=0 deg=8)"},
+		{[]string{"-gen", "gnp", "-n", "100", "-k", "0"}, "coreset: runner: k must be > 0 (got 0)"},
+		{[]string{"-gen", "gnp", "-n", "100", "-k", "-1"}, "coreset: runner: k must be > 0 (got -1)"},
+		{[]string{"-gen", "gnp", "-n", "100", "-k", "0", "-stream"}, "coreset: runner: k must be > 0 (got 0)"},
+		{[]string{"-gen", "gnp", "-n", "100", "-k", "0", "-task", "edcs", "-rounds", "2"}, "coreset: runner: k must be > 0 (got 0)"},
+	} {
+		stdout, stderr, code := runCLI(t, tc.args...)
+		if code == 0 || stdout != "" || stderr != tc.want+"\n" {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want a failing exit and stderr %q", tc.args, code, stdout, stderr, tc.want)
 		}
 	}
 }

@@ -60,11 +60,9 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/edcs"
 	"repro/internal/obs"
-	"repro/internal/rounds"
+	"repro/internal/runner"
 	"repro/internal/service"
-	"repro/internal/stream"
 	"repro/internal/task"
 )
 
@@ -112,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// and coresetd's job API also use — silently benchmarking something
 	// other than what the flags claim would mislabel every latency
 	// percentile this tool prints.
-	if err := service.ValidateTaskParams(*taskName, *beta, *rounds); err != nil {
+	if err := task.ValidateParams(*taskName, *beta, *rounds); err != nil {
 		fmt.Fprintln(stderr, "coresetload:", err)
 		return 2
 	}
@@ -410,49 +408,26 @@ func runClusterTarget(clusterW, genName string, n int, deg float64, gseed uint64
 		return 1
 	}
 
-	p := task.Params{}
-	if desc.UsesBeta {
-		p.EDCS = edcs.ParamsForBeta(beta)
-	}
-	multiRound := desc.WireRounds != 0 && roundCap >= 1
-	rcfg := rounds.Config{K: len(addrs), Rounds: roundCap, Seed: 0, Params: p.EDCS}
-	ccfgFor := func(seed uint64) cluster.Config {
-		return cluster.Config{Workers: addrs, Seed: seed, MaxRetries: maxRetries}
-	}
-	// Every single-round path dispatches through the task descriptor; only
-	// the multi-round MPC driver keeps its own entry points.
+	// Both waves run the same spec through runner.Run: the cluster wave
+	// over the fleet, the in-process wave as a stream run on as many
+	// machines.
 	runOne := func(mode string, seed uint64) (time.Duration, int, error) {
 		src, err := spec.Source()
 		if err != nil {
 			return 0, 0, err
 		}
+		rs := runner.Spec{Task: desc, Beta: beta, Mode: runner.ModeStream, K: len(addrs), Rounds: roundCap, Seed: seed, Source: src}
+		if mode == "cluster" {
+			rs.Mode, rs.Fleet, rs.MaxRetries = runner.ModeCluster, addrs, maxRetries
+		}
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		defer cancel()
 		t0 := time.Now()
-		retried := 0
-		switch {
-		case mode == "cluster" && multiRound:
-			cfg := rcfg
-			cfg.Seed = seed
-			var st *rounds.Stats
-			_, st, err = rounds.Cluster(ctx, src, ccfgFor(seed), cfg)
-			if st != nil {
-				retried = st.Retries
-			}
-		case mode == "cluster":
-			var st *cluster.Stats
-			_, st, err = cluster.Solve(ctx, src, ccfgFor(seed), desc, p)
-			if st != nil {
-				retried = st.Retries
-			}
-		case multiRound:
-			cfg := rcfg
-			cfg.Seed = seed
-			_, _, err = rounds.Stream(ctx, src, cfg)
-		default:
-			_, _, err = stream.Solve(ctx, src, stream.Config{K: len(addrs), Seed: seed}, desc, p)
+		_, rep, err := runner.Run(ctx, rs)
+		if err != nil {
+			return time.Since(t0), 0, err
 		}
-		return time.Since(t0), retried, err
+		return time.Since(t0), rep.Retries, nil
 	}
 
 	fire := func(mode string) ([]time.Duration, int, int, time.Duration) {

@@ -100,6 +100,13 @@
 // communication as n and k scale, and BenchmarkClusterVsStream (baseline in
 // BENCH_cluster.json) prices the wire against the in-process runtime.
 //
+// Every surface enters the runtimes through one function, runner.Run
+// (internal/runner): cmd/coreset, cmd/coresetload and the service's job
+// manager build a runner.Spec — task and β, mode, k, rounds, seed, one
+// stream.EdgeSource, the cluster fleet and the sinks — and Run alone decides
+// what each mode × rounds combination means, validates the spec, and
+// returns the graph.RunReport all of them print, serve or cache.
+//
 // The runtimes themselves are task-agnostic: every task lives as a
 // task.Descriptor in the internal/task registry — the per-machine
 // incremental builder, the CORESET body codec, the coordinator-side
@@ -138,7 +145,7 @@
 // repair, a pure function of the machine's arrival order, so EDCS runs are
 // bit-for-bit identical across all four runtimes: task "edcs" is first-class
 // in the CLI (-task edcs, with -beta), the streaming builders
-// (stream.EDCS), the cluster wire protocol (the HELLO frame carries β, β⁻),
+// (task.MustGet("edcs")), the cluster wire protocol (the HELLO frame carries β, β⁻),
 // and the service job API. Experiment E21 prices the EDCS against the
 // Theorem 1 coreset (approximation ratio, coreset bytes, measured cluster
 // communication) and BenchmarkEDCSVsMatchingCoreset (baseline in

@@ -45,11 +45,11 @@ func main() {
 		st.TotalCommBytes, st.MaxMachineBytes, st.EstCommBytes, st.ShardBytes)
 
 	src = stream.NewIterSource(n, func() gen.EdgeIter { return gen.GNPIter(n, deg/n, rng.New(seed)) })
-	sm, sst, err := stream.Matching(src, stream.Config{K: k, Seed: seed})
+	ssol, sst, err := stream.Solve(context.Background(), src, stream.Config{K: k, Seed: seed}, task.MustGet("matching"), task.Params{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("in-process: matching %d edges, simulated comm %d B\n", sm.Size(), sst.TotalCommBytes)
+	fmt.Printf("in-process: matching %d edges, simulated comm %d B\n", ssol.Size, sst.TotalCommBytes)
 	fmt.Printf("answers identical: %v; estimate identical: %v\n",
-		m.Size() == sm.Size(), st.EstCommBytes == sst.TotalCommBytes)
+		m.Size() == ssol.Size, st.EstCommBytes == sst.TotalCommBytes)
 }

@@ -54,7 +54,7 @@ func main() {
 	// would reproduce the baseline exactly), then union → reshard → rebuild
 	// with the ⌊√k⌋ schedule.
 	cfg := rounds.Config{K: k, Rounds: rcCap, Seed: seed, Params: p}
-	m2, st2, err := rounds.Batch(g, cfg)
+	m2, st2, err := rounds.Batch(context.Background(), g, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -89,11 +89,11 @@ func TestSeedParityAcrossRuntimes(t *testing.T) {
 				if err := matching.Verify(g.N, g.Edges, csol.Matching); err != nil {
 					t.Fatalf("seed %d: cluster matching invalid: %v", seed, err)
 				}
-				sm, sst, err := stream.Matching(stream.NewGraphSource(g), stream.Config{K: k, Seed: seed})
+				ssol, sst, err := stream.Solve(ctx, stream.NewGraphSource(g), stream.Config{K: k, Seed: seed}, task.MustGet("matching"), task.Params{})
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				if !reflect.DeepEqual(csol.Matching.Edges(), sm.Edges()) {
+				if !reflect.DeepEqual(csol.Matching.Edges(), ssol.Matching.Edges()) {
 					t.Fatalf("seed %d: cluster matching differs from stream", seed)
 				}
 				checkMeasuredBytes(t, cst, sst.TotalCommBytes)
@@ -118,11 +118,11 @@ func TestSeedParityAcrossRuntimes(t *testing.T) {
 				if err := matching.Verify(g.N, g.Edges, csol.Matching); err != nil {
 					t.Fatalf("seed %d: cluster EDCS matching invalid: %v", seed, err)
 				}
-				sm, sst, err := stream.EDCS(stream.NewGraphSource(g), stream.Config{K: k, Seed: seed}, edcsP)
+				ssol, sst, err := stream.Solve(ctx, stream.NewGraphSource(g), stream.Config{K: k, Seed: seed}, task.MustGet("edcs"), task.Params{EDCS: edcsP})
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				if !reflect.DeepEqual(csol.Matching.Edges(), sm.Edges()) {
+				if !reflect.DeepEqual(csol.Matching.Edges(), ssol.Matching.Edges()) {
 					t.Fatalf("seed %d: cluster EDCS matching differs from stream", seed)
 				}
 				checkMeasuredBytes(t, cst, sst.TotalCommBytes)
@@ -144,8 +144,8 @@ func TestSeedParityAcrossRuntimes(t *testing.T) {
 					if err != nil {
 						t.Fatalf("edcs-rounds seed %d round %d: %v", seed, round, err)
 					}
-					osums, ost, err := stream.EDCSSummaries(ctx, stream.NewSliceSource(g.N, input),
-						stream.Config{K: rk, Seed: rseed}, edcsP)
+					osums, ost, err := stream.Summaries(ctx, stream.NewSliceSource(g.N, input),
+						stream.Config{K: rk, Seed: rseed}, task.MustGet("edcs"), task.Params{EDCS: edcsP})
 					if err != nil {
 						t.Fatalf("edcs-rounds seed %d round %d oracle: %v", seed, round, err)
 					}
@@ -193,12 +193,12 @@ func TestSeedParityAcrossRuntimes(t *testing.T) {
 				if err := vcover.Verify(g.N, g.Edges, csol.Cover); err != nil {
 					t.Fatalf("seed %d: cluster cover infeasible: %v", seed, err)
 				}
-				sc, sst, err := stream.VertexCover(stream.NewGraphSource(g), stream.Config{K: k, Seed: seed})
+				ssol, sst, err := stream.Solve(ctx, stream.NewGraphSource(g), stream.Config{K: k, Seed: seed}, task.MustGet("vc"), task.Params{})
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				if !reflect.DeepEqual(csol.Cover, sc) {
-					t.Fatalf("seed %d: cluster cover differs from stream (%d vs %d vertices)", seed, len(csol.Cover), len(sc))
+				if !reflect.DeepEqual(csol.Cover, ssol.Cover) {
+					t.Fatalf("seed %d: cluster cover differs from stream (%d vs %d vertices)", seed, len(csol.Cover), len(ssol.Cover))
 				}
 				checkMeasuredBytes(t, cst, sst.TotalCommBytes)
 			}
@@ -248,11 +248,11 @@ func TestClusterUnknownN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, _, err := stream.VertexCover(&unknownNSource{stream.NewGraphSource(g)}, stream.Config{K: k, Seed: 9})
+	ssol, _, err := stream.Solve(context.Background(), &unknownNSource{stream.NewGraphSource(g)}, stream.Config{K: k, Seed: 9}, task.MustGet("vc"), task.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(csol.Cover, sc) {
+	if !reflect.DeepEqual(csol.Cover, ssol.Cover) {
 		t.Fatal("cluster cover differs from stream with undeclared n")
 	}
 }
@@ -307,7 +307,7 @@ func TestWorkerServesManyRuns(t *testing.T) {
 	const k = 2
 	addrs := startWorkers(t, k)
 	g := parityGraph(7, 400, 8)
-	want, _, err := stream.Matching(stream.NewGraphSource(g), stream.Config{K: k, Seed: 7})
+	want, _, err := stream.Solve(context.Background(), stream.NewGraphSource(g), stream.Config{K: k, Seed: 7}, task.MustGet("matching"), task.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestWorkerServesManyRuns(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		go func() {
 			sol, _, err := Solve(context.Background(), stream.NewGraphSource(g), Config{Workers: addrs, Seed: 7}, task.MustGet("matching"), task.Params{})
-			if err == nil && sol.Matching.Size() != want.Size() {
+			if err == nil && sol.Matching.Size() != want.Size {
 				err = &WorkerError{Err: errNotEqual}
 			}
 			errs <- err

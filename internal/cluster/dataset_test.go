@@ -193,8 +193,8 @@ func TestDatasetClusterRoundsWithReplay(t *testing.T) {
 			t.Fatalf("round %d held %d bytes resident, budget %d", r, dsrc.PeakResidentBytes(), budget)
 		}
 
-		want, _, err := stream.EDCSSummaries(context.Background(),
-			stream.NewSliceSource(g.N, oracleInput), stream.Config{K: 2, Seed: seed, BatchSize: 64}, p)
+		want, _, err := stream.Summaries(context.Background(),
+			stream.NewSliceSource(g.N, oracleInput), stream.Config{K: 2, Seed: seed, BatchSize: 64}, task.MustGet("edcs"), task.Params{EDCS: p})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -508,8 +508,8 @@ func TestSessionReplayEveryRound(t *testing.T) {
 			t.Fatalf("round %d: ReplayedMachines = %v, want [1]", r, st.ReplayedMachines)
 		}
 		// In-process oracle for the same (input, k, seed).
-		want, _, err := stream.EDCSSummaries(context.Background(),
-			stream.NewSliceSource(g.N, input), stream.Config{K: 2, Seed: seed, BatchSize: 64}, p)
+		want, _, err := stream.Summaries(context.Background(),
+			stream.NewSliceSource(g.N, input), stream.Config{K: 2, Seed: seed, BatchSize: 64}, task.MustGet("edcs"), task.Params{EDCS: p})
 		if err != nil {
 			t.Fatal(err)
 		}

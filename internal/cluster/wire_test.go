@@ -220,13 +220,13 @@ func TestSummaryCodecParity(t *testing.T) {
 		task byte
 		sum  stream.Summary
 	}{
-		{"matching", taskMatching, feed(stream.NewMatchingMachine(), g.Edges)},
-		{"matching-empty", taskMatching, feed(stream.NewMatchingMachine(), nil)},
-		{"vc-online-peel", taskVC, feed(stream.NewVCMachine(4, g.N), g.Edges)},
-		{"vc-no-hint", taskVC, feed(stream.NewVCMachine(4, 0), g.Edges)},
-		{"vc-empty", taskVC, feed(stream.NewVCMachine(4, g.N), nil)},
-		{"edcs", taskEDCS, feed(stream.NewEDCSMachine(g.N, edcs.ParamsForBeta(8)), g.Edges)},
-		{"edcs-empty", taskEDCS, feed(stream.NewEDCSMachine(0, edcs.ParamsForBeta(8)), nil)},
+		{"matching", taskMatching, feed(stream.NewMachine(task.MustGet("matching").NewBuilder(0, 0, task.Params{})), g.Edges)},
+		{"matching-empty", taskMatching, feed(stream.NewMachine(task.MustGet("matching").NewBuilder(0, 0, task.Params{})), nil)},
+		{"vc-online-peel", taskVC, feed(stream.NewMachine(task.MustGet("vc").NewBuilder(4, g.N, task.Params{})), g.Edges)},
+		{"vc-no-hint", taskVC, feed(stream.NewMachine(task.MustGet("vc").NewBuilder(4, 0, task.Params{})), g.Edges)},
+		{"vc-empty", taskVC, feed(stream.NewMachine(task.MustGet("vc").NewBuilder(4, g.N, task.Params{})), nil)},
+		{"edcs", taskEDCS, feed(stream.NewMachine(task.MustGet("edcs").NewBuilder(0, g.N, task.Params{EDCS: edcs.ParamsForBeta(8)})), g.Edges)},
+		{"edcs-empty", taskEDCS, feed(stream.NewMachine(task.MustGet("edcs").NewBuilder(0, 0, task.Params{EDCS: edcs.ParamsForBeta(8)})), nil)},
 	}
 	for _, tc := range cases {
 		got, err := decodeSummary(tc.task, appendSummary(nil, tc.task, tc.sum))
@@ -249,7 +249,7 @@ func TestSummaryCodecCorrupt(t *testing.T) {
 		}
 	}
 	// Trailing garbage after a valid body must be rejected.
-	valid := appendSummary(nil, taskMatching, stream.NewMatchingMachine().Finish(0))
+	valid := appendSummary(nil, taskMatching, stream.NewMachine(task.MustGet("matching").NewBuilder(0, 0, task.Params{})).Finish(0))
 	if _, err := decodeSummary(taskMatching, append(valid, 0x00)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}

@@ -1,9 +1,44 @@
 package gen
 
 import (
+	"fmt"
+
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
+
+// Named resolves a synthetic workload by name — the one table behind the
+// CLI's -gen flag and the service's generator specs, so both name the same
+// graph:
+//
+//	gnp       G(n, deg/n)
+//	star      K_{1,n-1}
+//	powerlaw  Chung-Lu with exponent 2 and weight cap n/16+1
+//
+// It returns a factory minting a fresh iterator per call, each replaying the
+// same draw sequence from seed. Parameters the iterators would panic on are
+// rejected here with an error: deg is an average degree, so it must lie in
+// [0, n] (powerlaw checks it too, although it ignores it).
+func Named(name string, n int, deg float64, seed uint64) (func() EdgeIter, error) {
+	degOK := n >= 0 && deg >= 0 && deg <= float64(n) // false for NaN too
+	switch name {
+	case "gnp":
+		if degOK {
+			return func() EdgeIter { return GNPIter(n, deg/float64(n), rng.New(seed)) }, nil
+		}
+	case "powerlaw":
+		if degOK {
+			return func() EdgeIter { return PowerlawIter(n, 2.0, n/16+1, rng.New(seed)) }, nil
+		}
+	case "star":
+		if n >= 1 {
+			return func() EdgeIter { return StarIter(n) }, nil
+		}
+	default:
+		return nil, fmt.Errorf("unknown generator %q", name)
+	}
+	return nil, fmt.Errorf("invalid %s spec (n=%d deg=%g)", name, n, deg)
+}
 
 // EdgeIter is a pull iterator over generated edges: Next returns the next
 // edge until the stream is exhausted. Iterators hold O(1) state, so the

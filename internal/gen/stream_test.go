@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -120,4 +121,41 @@ func TestPowerlawIterPanicsOnBadParams(t *testing.T) {
 		}
 	}()
 	PowerlawIter(10, 2.0, 0, rng.New(1))
+}
+
+// Named must mint the same iterators the constructors build, replay them on
+// every call, and reject what the constructors would panic on.
+func TestNamed(t *testing.T) {
+	for name, want := range map[string][]graph.Edge{
+		"gnp":      Collect(GNPIter(300, 6.0/300, rng.New(4))),
+		"star":     Collect(StarIter(300)),
+		"powerlaw": Collect(PowerlawIter(300, 2.0, 300/16+1, rng.New(4))),
+	} {
+		mint, err := Named(name, 300, 6, 4)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			if got := Collect(mint()); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s pass %d: %d edges, want %d", name, pass, len(got), len(want))
+			}
+		}
+	}
+	for _, bad := range []struct {
+		name string
+		n    int
+		deg  float64
+	}{
+		{"nope", 10, 2},
+		{"gnp", 0, 8},
+		{"gnp", 10, 100},
+		{"gnp", 10, -3},
+		{"gnp", 10, math.NaN()},
+		{"powerlaw", -1, 0},
+		{"star", 0, 0},
+	} {
+		if _, err := Named(bad.name, bad.n, bad.deg, 1); err == nil {
+			t.Errorf("Named(%q, n=%d, deg=%g) accepted", bad.name, bad.n, bad.deg)
+		}
+	}
 }

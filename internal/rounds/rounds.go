@@ -44,7 +44,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
@@ -328,7 +327,9 @@ type runRound func(ctx context.Context, input stream.EdgeSource, k int, seed uin
 // drive is the schedule shared by the three runtimes: run rounds with
 // shrinking k and per-round seeds until the cap, or until the union stops
 // shrinking, then compose a maximum matching of the final union. src feeds
-// round 0; later rounds stream the previous union from memory.
+// round 0; later rounds stream the previous union from memory. ctx is
+// checked at every round boundary, so even the batch runtime, whose rounds
+// cannot be interrupted, stops at the next one.
 func drive(ctx context.Context, src stream.EdgeSource, cfg Config, exec runRound) (*matching.Matching, *Stats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
@@ -341,6 +342,9 @@ func drive(ctx context.Context, src stream.EdgeSource, cfg Config, exec runRound
 	k := cfg.K
 	var prevUnion []graph.Edge
 	for round := 0; round < cfg.Rounds; round++ {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
 		input := src
 		if round > 0 {
 			input = stream.NewSliceSource(st.N, prevUnion)
@@ -374,6 +378,9 @@ func drive(ctx context.Context, src stream.EdgeSource, cfg Config, exec runRound
 		}
 		k = NextK(k)
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
 	cfg.Trace.Event("compose", "machines", len(st.Coresets), "union_edges", st.CompositionEdges)
 	m := core.ComposeMatching(st.N, st.Coresets)
 	st.Duration = time.Since(start)
@@ -384,32 +391,32 @@ func drive(ctx context.Context, src stream.EdgeSource, cfg Config, exec runRound
 // every round partitions its input with partition.HashK and builds the
 // per-machine EDCSs in parallel (cfg.Workers goroutines), exactly as
 // edcs.Distributed does for a single round.
-func Batch(g *graph.Graph, cfg Config) (*matching.Matching, *Stats, error) {
+func Batch(ctx context.Context, g *graph.Graph, cfg Config) (*matching.Matching, *Stats, error) {
 	exec := func(ctx context.Context, input stream.EdgeSource, k int, seed uint64) ([][]graph.Edge, RoundStat, int, error) {
 		t0 := time.Now()
-		edges, n, err := drain(input)
+		in, err := stream.Materialize(input)
 		if err != nil {
 			return nil, RoundStat{}, 0, err
 		}
-		parts := partition.HashK(edges, k, seed)
+		parts := partition.HashK(in.Edges, k, seed)
 		coresets := core.MapParts(parts, cfg.Workers, func(i int, part []graph.Edge) []graph.Edge {
-			return edcs.Coreset(n, part, cfg.Params)
+			return edcs.Coreset(in.N, part, cfg.Params)
 		})
-		rs := RoundStat{InputEdges: len(edges)}
+		rs := RoundStat{InputEdges: in.M()}
 		chargeEstimated(&rs, coresets)
 		rs.Duration = time.Since(t0)
-		return coresets, rs, n, nil
+		return coresets, rs, in.N, nil
 	}
-	return drive(context.Background(), stream.NewGraphSource(g), cfg, exec)
+	return drive(ctx, stream.NewGraphSource(g), cfg, exec)
 }
 
 // Stream runs the multi-round driver over the in-process streaming runtime:
 // round 0 shards src through the concurrent pipeline without materializing
 // it; later rounds stream the in-memory union. Cancellation is cooperative
-// at batch granularity, as in stream.EDCSContext.
+// at batch granularity, as in stream.Solve.
 func Stream(ctx context.Context, src stream.EdgeSource, cfg Config) (*matching.Matching, *Stats, error) {
 	exec := func(ctx context.Context, input stream.EdgeSource, k int, seed uint64) ([][]graph.Edge, RoundStat, int, error) {
-		sums, sst, err := stream.EDCSSummaries(ctx, input, stream.Config{K: k, Seed: seed, BatchSize: cfg.BatchSize}, cfg.Params)
+		sums, sst, err := stream.Summaries(ctx, input, stream.Config{K: k, Seed: seed, BatchSize: cfg.BatchSize}, task.RoundsCapable(), task.Params{EDCS: cfg.Params})
 		if err != nil {
 			return nil, RoundStat{}, 0, err
 		}
@@ -493,21 +500,4 @@ func chargeEstimated(rs *RoundStat, coresets [][]graph.Edge) {
 			rs.MaxMachineBytes = b
 		}
 	}
-}
-
-// drain materializes a source (batch mode's view of a round input).
-func drain(src stream.EdgeSource) ([]graph.Edge, int, error) {
-	var edges []graph.Edge
-	buf := make([]graph.Edge, 4096)
-	for {
-		c, err := src.Next(buf)
-		edges = append(edges, buf[:c]...)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return nil, 0, err
-		}
-	}
-	return edges, src.NumVertices(), nil
 }

@@ -2,6 +2,7 @@ package rounds
 
 import (
 	"context"
+	"errors"
 	"net"
 	"reflect"
 	"testing"
@@ -78,7 +79,7 @@ func TestRoundsOneMatchesSingleRound(t *testing.T) {
 		const k = 4
 		wantM, wantSt := edcs.Distributed(g, k, 0, seed, p)
 
-		m, st, err := Batch(g, Config{K: k, Rounds: 1, Seed: seed, Params: p})
+		m, st, err := Batch(context.Background(), g, Config{K: k, Rounds: 1, Seed: seed, Params: p})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -131,7 +132,7 @@ func TestMultiRoundParityAcrossRuntimes(t *testing.T) {
 		g := gen.GNP(400, 40.0/400, rng.New(seed))
 		cfg := Config{K: 4, Rounds: 3, Seed: seed, Params: p}
 
-		bm, bst, err := Batch(g, cfg)
+		bm, bst, err := Batch(context.Background(), g, cfg)
 		if err != nil {
 			t.Fatalf("seed %d batch: %v", seed, err)
 		}
@@ -191,7 +192,7 @@ func TestScheduleShrinks(t *testing.T) {
 	g := gen.GNP(300, 0.4, rng.New(7))
 	opt := matching.Maximum(g.N, g.Edges).Size()
 	cfg := Config{K: 16, Rounds: 4, Seed: 7, Params: edcs.ParamsForBeta(8)}
-	m, st, err := Batch(g, cfg)
+	m, st, err := Batch(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestEarlyExit(t *testing.T) {
 		path = append(path, graph.Edge{U: v, V: v + 1})
 	}
 	g := &graph.Graph{N: 200, Edges: path}
-	_, st, err := Batch(g, Config{K: 4, Rounds: 8, Seed: 1, Params: edcs.ParamsForBeta(8)})
+	_, st, err := Batch(context.Background(), g, Config{K: 4, Rounds: 8, Seed: 1, Params: edcs.ParamsForBeta(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,11 +242,33 @@ func TestEarlyExit(t *testing.T) {
 	}
 }
 
+// cancelOnRound cancels a context when the first round completes.
+type cancelOnRound struct{ cancel context.CancelFunc }
+
+func (c cancelOnRound) Count(name string, _ int64) {
+	if name == MetricRounds {
+		c.cancel()
+	}
+}
+func (cancelOnRound) Observe(string, float64) {}
+
+// TestBatchCanceledAtRoundBoundary: a batch round cannot be interrupted, but
+// the driver must stop at the next round boundary once ctx is canceled.
+func TestBatchCanceledAtRoundBoundary(t *testing.T) {
+	g := gen.GNP(300, 0.3, rng.New(5))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := Config{K: 9, Rounds: 3, Seed: 5, Params: edcs.ParamsForBeta(8), Obs: cancelOnRound{cancel}}
+	if _, _, err := Batch(ctx, g, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
 // TestEmptyGraph: degenerate inputs terminate immediately with an empty
 // matching and a single zero-edge round.
 func TestEmptyGraph(t *testing.T) {
 	g := &graph.Graph{N: 10}
-	m, st, err := Batch(g, Config{K: 4, Rounds: 3, Seed: 1, Params: edcs.ParamsForBeta(8)})
+	m, st, err := Batch(context.Background(), g, Config{K: 4, Rounds: 3, Seed: 1, Params: edcs.ParamsForBeta(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +282,7 @@ func TestEmptyGraph(t *testing.T) {
 func TestReport(t *testing.T) {
 	g := gen.GNP(300, 0.3, rng.New(5))
 	cfg := Config{K: 9, Rounds: 3, Seed: 5, Params: edcs.ParamsForBeta(8)}
-	m, st, err := Batch(g, cfg)
+	m, st, err := Batch(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

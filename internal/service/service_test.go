@@ -234,8 +234,16 @@ func TestGraphAPIErrors(t *testing.T) {
 	if code := c.postJSON("/v1/graphs", CreateGraphRequest{}, &errBody); code != http.StatusBadRequest {
 		t.Fatalf("empty request: status %d", code)
 	}
-	if code := c.postJSON("/v1/graphs", CreateGraphRequest{Gen: &GenSpec{Name: "nope", N: 5}}, &errBody); code != http.StatusBadRequest {
-		t.Fatalf("unknown generator: status %d", code)
+	for _, spec := range []GenSpec{
+		{Name: "nope", N: 5},
+		{Name: "gnp", N: 0, Deg: 8}, // p = deg/n is undefined
+		{Name: "gnp", N: 10, Deg: 100},
+		{Name: "star", N: 0},
+		{Name: "gnp", N: MaxGraphN + 1, Deg: 8},
+	} {
+		if code := c.postJSON("/v1/graphs", CreateGraphRequest{Gen: &spec}, &errBody); code != http.StatusBadRequest {
+			t.Fatalf("invalid generator spec %+v: status %d", spec, code)
+		}
 	}
 
 	var info GraphInfo

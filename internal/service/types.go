@@ -40,8 +40,8 @@ import (
 	"repro/internal/edcs"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/rng"
 	"repro/internal/rounds"
+	"repro/internal/runner"
 	"repro/internal/stream"
 	"repro/internal/task"
 )
@@ -59,13 +59,13 @@ const (
 	TaskEDCS     = "edcs"
 )
 
-// Execution modes accepted by the job API. ModeCluster dispatches the job
-// to the worker fleet the daemon was configured with (coresetd -cluster);
-// it is rejected when no fleet is configured.
+// Execution modes accepted by the job API (runner.Mode*). ModeCluster
+// dispatches the job to the worker fleet the daemon was configured with
+// (coresetd -cluster); it is rejected when no fleet is configured.
 const (
-	ModeBatch   = "batch"
-	ModeStream  = "stream"
-	ModeCluster = "cluster"
+	ModeBatch   = runner.ModeBatch
+	ModeStream  = runner.ModeStream
+	ModeCluster = runner.ModeCluster
 )
 
 // Hard sanity caps on request parameters: a single unauthenticated request
@@ -90,11 +90,10 @@ const (
 	MaxJobRounds = rounds.MaxRounds
 )
 
-// GenSpec describes a synthetic graph by generator name and parameters. The
-// parameter mapping matches cmd/coreset's -gen flags exactly, so a spec
-// submitted to the service names the same graph a CLI run would build:
-// gnp is G(n, Deg/n), star is K_{1,n-1}, powerlaw is Chung-Lu with exponent
-// 2 and weight cap n/16+1.
+// GenSpec describes a synthetic graph by generator name and parameters.
+// It resolves through the same table (gen.Named) as cmd/coreset's -gen
+// flags, so a spec submitted to the service names the same graph a CLI run
+// would build.
 type GenSpec struct {
 	Name string  `json:"name"`           // gnp | star | powerlaw
 	N    int     `json:"n"`              // vertices
@@ -104,53 +103,32 @@ type GenSpec struct {
 
 // Validate checks the spec without sampling anything.
 func (s *GenSpec) Validate() error {
-	if s.N > MaxGraphN {
-		return fmt.Errorf("service: n=%d exceeds the cap of %d vertices", s.N, MaxGraphN)
-	}
-	switch s.Name {
-	case "gnp", "powerlaw":
-		if s.N < 0 || s.Deg < 0 || (s.N > 0 && s.Deg > float64(s.N)) {
-			return fmt.Errorf("service: invalid %s spec (n=%d deg=%g)", s.Name, s.N, s.Deg)
-		}
-	case "star":
-		if s.N < 1 {
-			return fmt.Errorf("service: invalid star spec (n=%d)", s.N)
-		}
-	default:
-		return fmt.Errorf("service: unknown generator %q", s.Name)
-	}
-	return nil
+	_, err := s.mint()
+	return err
 }
 
-// Iter mints a fresh edge iterator replaying the spec's draw sequence from
-// its seed. Every call returns an independent iterator, so concurrent jobs
-// can stream the same spec simultaneously.
-func (s *GenSpec) Iter() (gen.EdgeIter, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
+// mint resolves the spec through the shared generator table (gen.Named)
+// after the service's own vertex cap.
+func (s *GenSpec) mint() (func() gen.EdgeIter, error) {
+	if s.N > MaxGraphN {
+		return nil, fmt.Errorf("service: n=%d exceeds the cap of %d vertices", s.N, MaxGraphN)
 	}
-	switch s.Name {
-	case "gnp":
-		return gen.GNPIter(s.N, s.Deg/float64(s.N), rng.New(s.Seed)), nil
-	case "star":
-		return gen.StarIter(s.N), nil
-	default: // powerlaw
-		return gen.PowerlawIter(s.N, 2.0, s.N/16+1, rng.New(s.Seed)), nil
+	mint, err := gen.Named(s.Name, s.N, s.Deg, s.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("service: %w", err)
 	}
+	return mint, nil
 }
 
 // Source mints a fresh streaming edge source for the spec. The source is
 // restartable — each pass replays the spec's draw sequence from its seed —
 // so cluster jobs over generator graphs can replay a lost round.
 func (s *GenSpec) Source() (stream.EdgeSource, error) {
-	if err := s.Validate(); err != nil {
+	mint, err := s.mint()
+	if err != nil {
 		return nil, err
 	}
-	spec := *s
-	return stream.NewIterSource(s.N, func() gen.EdgeIter {
-		it, _ := spec.Iter() // validated above; cannot fail
-		return it
-	}), nil
+	return stream.NewIterSource(s.N, mint), nil
 }
 
 // CreateGraphRequest is the JSON body of POST /v1/graphs. Exactly one of
@@ -204,20 +182,6 @@ func badRequestf(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrInvalidRequest}, args...)...)
 }
 
-// ValidateTaskParams checks the task-scoped EDCS parameters — the degree
-// bound and the multi-round cap — shared by every user-facing surface:
-// cmd/coreset's flags, cmd/coresetload's flags and this service's job API
-// all call it, so the three cannot drift on bounds or message text. The
-// actual table lives with the task registry (task.ValidateParams, driven by
-// the descriptors' capability flags); this wrapper keeps the service-level
-// name the other surfaces import. Zero means "not set" for both parameters;
-// the returned error text is the canonical vocabulary, to which each caller
-// adds its own prefix (the service wraps it in ErrInvalidRequest for 4xx
-// classification).
-func ValidateTaskParams(taskName string, beta, rounds int) error {
-	return task.ValidateParams(taskName, beta, rounds)
-}
-
 func (r *CreateJobRequest) normalize() error {
 	if r.Mode == "" {
 		r.Mode = ModeStream
@@ -226,12 +190,12 @@ func (r *CreateJobRequest) normalize() error {
 	if !ok {
 		return badRequestf("unknown task %q", r.Task)
 	}
-	if err := ValidateTaskParams(r.Task, r.Beta, r.Rounds); err != nil {
+	if err := task.ValidateParams(r.Task, r.Beta, r.Rounds); err != nil {
 		return badRequestf("%s", err)
 	}
 	if d.UsesBeta && r.Beta == 0 {
 		// Pin the default so cache keys are canonical; ParamsForBeta clamps
-		// any bound >= 2 into a valid pair, so ValidateTaskParams' range
+		// any bound >= 2 into a valid pair, so ValidateParams' range
 		// check was the whole validation.
 		r.Beta = edcs.DefaultBeta
 	}

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -89,6 +90,27 @@ func (s *SliceSource) KnownUpfront() bool { return true }
 func (s *SliceSource) Restart() error {
 	s.pos = 0
 	return nil
+}
+
+// Materialize drains src into a graph: the batch runtime's view of any
+// source. A SliceSource hands back its backing slice uncopied.
+func Materialize(src EdgeSource) (*graph.Graph, error) {
+	if s, ok := src.(*SliceSource); ok {
+		return &graph.Graph{N: s.n, Edges: s.edges}, nil
+	}
+	var edges []graph.Edge
+	buf := make([]graph.Edge, 4096)
+	for {
+		c, err := src.Next(buf)
+		edges = append(edges, buf[:c]...)
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return &graph.Graph{N: src.NumVertices(), Edges: edges}, nil
 }
 
 // IterSource adapts a gen.EdgeIter (a synthetic-workload generator with O(1)

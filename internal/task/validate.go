@@ -19,9 +19,8 @@ const MaxBeta = edcs.MaxBeta
 // ValidateParams checks the task-scoped parameters — the EDCS degree bound
 // and the multi-round cap — against the registry's capability flags. Every
 // user-facing surface shares it: cmd/coreset's flags, cmd/coresetload's
-// flags and the service's job API all call it (directly or through
-// service.ValidateTaskParams), so the surfaces cannot drift on bounds or
-// message text. Zero means "not set" for both parameters; the returned
+// flags, the service's job API and runner.Run all call it, so the surfaces
+// cannot drift on bounds or message text. Zero means "not set" for both parameters; the returned
 // error text is the canonical vocabulary, to which each caller adds its own
 // prefix.
 //
