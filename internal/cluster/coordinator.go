@@ -506,8 +506,8 @@ func roundTrip(runCtx context.Context, conn net.Conn, d *task.Descriptor, iot ti
 // CORESET, decoded with d's codec into res. The round fan-out and the
 // replay waves share it. Every frame exchange runs under the per-frame
 // IOTimeout, so a stalled worker surfaces as a retryable KindDeadline
-// failure rather than a hang; a corrupt or unexpected frame is
-// KindProtocol.
+// failure rather than a hang; a corrupt or unexpected frame, or a CORESET
+// naming a vertex id outside [0, nFinal), is KindProtocol.
 func finishRound(conn net.Conn, iot time.Duration, d *task.Descriptor, nFinal int, res *workerResult, sink obs.Sink) (FailureKind, error) {
 	n, err := writeFrameDeadline(conn, iot, frameEOS, binary.AppendUvarint(nil, uint64(nFinal)))
 	res.sent += n
@@ -537,6 +537,9 @@ func finishRound(conn net.Conn, iot time.Duration, d *task.Descriptor, nFinal in
 	switch typ {
 	case frameCoreset:
 		sum, err := task.DecodeSummary(d, payload)
+		if err == nil {
+			err = sum.CheckIDs(nFinal)
+		}
 		if err != nil {
 			return KindProtocol, err
 		}

@@ -160,6 +160,12 @@ const maxK = 1 << 20
 // an absurd run length.
 const maxWireRounds = 1 << 10
 
+// coresetHeadroom is the room a worker reserves on top of a summary's
+// simulated body size when it sizes the CORESET buffer: the three uvarint
+// stats plus the vc level count and per-level lengths. Too little only
+// costs one buffer growth.
+const coresetHeadroom = 64
+
 const frameHeaderLen = 5
 
 // writeFrame writes one frame and returns the exact bytes put on the wire.

@@ -300,7 +300,7 @@ func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round i
 		}
 		t0 := time.Now()
 		sum := m.Finish(int(n))
-		body := appendSummary(nil, h.task, sum)
+		body := appendSummary(make([]byte, 0, sum.Bytes+coresetHeadroom), h.task, sum)
 		tm.encodeNS += uint64(time.Since(t0))
 		bt := m.Telem()
 		tm.repairIters, tm.removals, tm.peakCoreset = bt.RepairIters, bt.Removals, bt.PeakCoreset

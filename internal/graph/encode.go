@@ -39,6 +39,26 @@ func checkID(v ID) {
 	}
 }
 
+// Uvarint is binary.Uvarint restricted to the shortest encoding of each
+// value, the only one the encoders write. A longer encoding is rejected
+// (k == 0, as for a truncated varint), so every message the decoders accept
+// has exactly one byte form and re-encodes to the bytes it came from.
+func Uvarint(data []byte) (uint64, int) {
+	v, k := binary.Uvarint(data)
+	if overlong(data, k) {
+		return 0, 0
+	}
+	return v, k
+}
+
+// overlong reports whether the k-byte varint at the start of data has a
+// shorter form, that is, whether it is longer than one byte and its last
+// byte is zero. The hot decoders call binary.Uvarint/Varint and this check
+// directly so both stay inlined.
+func overlong(data []byte, k int) bool {
+	return k > 1 && data[k-1] == 0
+}
+
 // AppendEdges appends the encoding of edges to dst and returns it. Panics
 // with *IDRangeError on out-of-range endpoints.
 func AppendEdges(dst []byte, edges []Edge) []byte {
@@ -61,7 +81,7 @@ func EncodeEdges(edges []Edge) []byte {
 // returns the remaining bytes.
 func DecodeEdges(data []byte) (edges []Edge, rest []byte, err error) {
 	count, k := binary.Uvarint(data)
-	if k <= 0 {
+	if k <= 0 || overlong(data, k) {
 		return nil, nil, fmt.Errorf("graph: corrupt edge encoding (count)")
 	}
 	data = data[k:]
@@ -71,12 +91,12 @@ func DecodeEdges(data []byte) (edges []Edge, rest []byte, err error) {
 	edges = make([]Edge, 0, count)
 	for i := uint64(0); i < count; i++ {
 		u, ku := binary.Uvarint(data)
-		if ku <= 0 {
+		if ku <= 0 || overlong(data, ku) {
 			return nil, nil, fmt.Errorf("graph: corrupt edge encoding (edge %d U)", i)
 		}
 		data = data[ku:]
 		v, kv := binary.Uvarint(data)
-		if kv <= 0 {
+		if kv <= 0 || overlong(data, kv) {
 			return nil, nil, fmt.Errorf("graph: corrupt edge encoding (edge %d V)", i)
 		}
 		data = data[kv:]
@@ -112,7 +132,7 @@ func EncodeIDs(ids []ID) []byte {
 // remaining bytes.
 func DecodeIDs(data []byte) (ids []ID, rest []byte, err error) {
 	count, k := binary.Uvarint(data)
-	if k <= 0 {
+	if k <= 0 || overlong(data, k) {
 		return nil, nil, fmt.Errorf("graph: corrupt id encoding (count)")
 	}
 	data = data[k:]
@@ -122,7 +142,7 @@ func DecodeIDs(data []byte) (ids []ID, rest []byte, err error) {
 	ids = make([]ID, 0, count)
 	for i := uint64(0); i < count; i++ {
 		v, kv := binary.Uvarint(data)
-		if kv <= 0 {
+		if kv <= 0 || overlong(data, kv) {
 			return nil, nil, fmt.Errorf("graph: corrupt id encoding (id %d)", i)
 		}
 		data = data[kv:]
@@ -200,7 +220,7 @@ func AppendEdgeBatch(dst []byte, edges []Edge) []byte {
 // corrupt. A zero-count batch decodes to a nil slice.
 func DecodeEdgeBatch(data []byte) (edges []Edge, rest []byte, err error) {
 	count, k := binary.Uvarint(data)
-	if k <= 0 {
+	if k <= 0 || overlong(data, k) {
 		return nil, nil, fmt.Errorf("graph: corrupt edge batch (count)")
 	}
 	data = data[k:]
@@ -214,12 +234,12 @@ func DecodeEdgeBatch(data []byte) (edges []Edge, rest []byte, err error) {
 	prev := int64(0)
 	for i := uint64(0); i < count; i++ {
 		du, ku := binary.Varint(data)
-		if ku <= 0 {
+		if ku <= 0 || overlong(data, ku) {
 			return nil, nil, fmt.Errorf("graph: corrupt edge batch (edge %d U)", i)
 		}
 		data = data[ku:]
 		dv, kv := binary.Varint(data)
-		if kv <= 0 {
+		if kv <= 0 || overlong(data, kv) {
 			return nil, nil, fmt.Errorf("graph: corrupt edge batch (edge %d V)", i)
 		}
 		data = data[kv:]

@@ -205,3 +205,33 @@ func FuzzEdgeBatchCodec(f *testing.F) {
 		}
 	})
 }
+
+// A varint longer than its shortest form would give one message two byte
+// forms; every decoder rejects it, whichever field it sits in.
+func TestDecodersRejectOverlongVarints(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"batch count": {0x80, 0x00},
+		"batch U":     {0x01, 0x82, 0x00, 0x02},
+		"batch V":     {0x01, 0x02, 0x82, 0x00},
+		"ids count":   {0x81, 0x00, 0x05},
+		"ids id":      {0x01, 0x85, 0x00},
+		"edges V":     {0x01, 0x01, 0xff, 0x80, 0x00},
+		"ten-byte U":  {0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00, 0x00},
+	} {
+		var err error
+		switch {
+		case name[:3] == "ids":
+			_, _, err = DecodeIDs(data)
+		case name[:5] == "edges":
+			_, _, err = DecodeEdges(data)
+		default:
+			_, _, err = DecodeEdgeBatch(data)
+		}
+		if err == nil {
+			t.Errorf("%s: overlong varint % x accepted", name, data)
+		}
+	}
+	if v, k := Uvarint([]byte{0x80, 0x01}); v != 128 || k != 2 {
+		t.Fatalf("Uvarint(80 01) = %d, %d; want 128, 2", v, k)
+	}
+}

@@ -4,7 +4,9 @@ package graph
 // amortized degree maintenance. It is the workhorse of the peeling
 // algorithms: VC-Coreset (Theorem 2) repeatedly removes all vertices whose
 // residual degree exceeds a threshold, and Parnas-Ron peeling does the same
-// on the whole graph.
+// on the whole graph. Building one costs a CSR over every edge, so
+// core.PeelVC builds it only once a level can actually peel: a level whose
+// threshold is above every residual degree removes nothing.
 //
 // Removal is lazy on the adjacency side: neighbors are not unlinked, but
 // degrees are decremented eagerly and dead vertices are skipped on scans.

@@ -46,11 +46,14 @@ func (b *matchingBuilder) Finish(n int) Summary {
 // level-1 threshold n/(4k) — the builder detects this the moment it happens,
 // fixes the vertex into the cover immediately, and discards every subsequent
 // edge incident to it (such edges are already covered and can never reach the
-// residual). Stored edges incident to later-peeled vertices are removed at
-// Finish, where peeling resumes at level 2 on the surviving subgraph. The
-// emitted coreset is field-for-field identical to the batch
-// core.ComputeVCCoreset on the same partition; online peeling only reduces
-// the edges held in memory.
+// residual). At Finish, core.PeelVC — the batch core.ComputeVCCoreset's own
+// level loop — drops the stored edges incident to later-peeled vertices and
+// resumes at level 2. The emitted coreset is field-for-field identical to
+// the batch core.ComputeVCCoreset on the same partition; online peeling only
+// reduces the edges held in memory.
+//
+// The stored edges sit in fixed-size chunks of vcChunkEdges, so growing the
+// store never re-copies the edges already held; Summary.Stored counts them.
 //
 // Online peeling needs the thresholds — hence n — upfront; when the source
 // cannot declare n (headerless edge lists), the builder degrades to storing
@@ -61,9 +64,12 @@ type vcBuilder struct {
 	deg       []int32
 	peeled    []bool
 	nPeeled   int
-	stored    []graph.Edge
-	received  int
+	chunks    [][]graph.Edge // stored edges in arrival order
+	stored    int
 }
+
+// vcChunkEdges is the capacity of one chunk of the vc builder's edge store.
+const vcChunkEdges = 4096
 
 func newVCBuilder(k, nHint int) *vcBuilder {
 	b := &vcBuilder{k: k}
@@ -86,11 +92,10 @@ func (b *vcBuilder) grow(v graph.ID) {
 }
 
 func (b *vcBuilder) Add(e graph.Edge) {
-	b.received++
 	if b.threshold == 0 {
 		// No vertex count, no thresholds: just store the partition; Finish
 		// runs the full batch peel.
-		b.stored = append(b.stored, e)
+		b.store(e)
 		return
 	}
 	b.grow(e.U)
@@ -105,7 +110,18 @@ func (b *vcBuilder) Add(e graph.Edge) {
 	if b.peeled[e.U] || b.peeled[e.V] {
 		return // covered by a fixed vertex; never reaches the residual
 	}
-	b.stored = append(b.stored, e)
+	b.store(e)
+}
+
+// store appends e to the last chunk, opening a new one when it is full.
+func (b *vcBuilder) store(e graph.Edge) {
+	last := len(b.chunks) - 1
+	if last < 0 || len(b.chunks[last]) == vcChunkEdges {
+		b.chunks = append(b.chunks, make([]graph.Edge, 0, vcChunkEdges))
+		last++
+	}
+	b.chunks[last] = append(b.chunks[last], e)
+	b.stored++
 }
 
 func (b *vcBuilder) peel(v graph.ID) {
@@ -116,48 +132,25 @@ func (b *vcBuilder) peel(v graph.ID) {
 }
 
 func (b *vcBuilder) Finish(n int) Summary {
-	var cs *core.VCCoreset
-	if b.threshold == 0 {
-		cs = core.ComputeVCCoreset(n, b.k, b.stored)
-	} else {
-		cs = b.finishFromLevel2(n)
+	var done [][]graph.ID
+	if b.threshold > 0 {
+		// Level 1 was peeled online. Batch levels list their vertices in
+		// ascending order; match it so the coresets compare deep-equal.
+		var level1 []graph.ID
+		for v, p := range b.peeled {
+			if p {
+				level1 = append(level1, graph.ID(v))
+			}
+		}
+		done = [][]graph.ID{level1}
 	}
+	cs := core.PeelVC(n, b.k, done, b.chunks...)
 	return Summary{
 		VC:     cs,
-		Stored: len(b.stored),
+		Stored: b.stored,
 		Live:   b.nPeeled,
 		Bytes:  core.VCCoresetSizeBytes(cs),
 	}
-}
-
-// finishFromLevel2 resumes the VC-Coreset peel after the online level-1 pass:
-// remove the already-peeled vertices from the stored subgraph, then run
-// levels 2..Delta-1 exactly as the batch algorithm does.
-func (b *vcBuilder) finishFromLevel2(n int) *core.VCCoreset {
-	delta := core.PeelingDepth(n, b.k)
-	// Batch RemoveAtLeast reports each level in ascending vertex order; match
-	// it so the coresets compare deep-equal.
-	var level1 []graph.ID
-	for v := 0; v < len(b.peeled); v++ {
-		if b.peeled[v] {
-			level1 = append(level1, graph.ID(v))
-		}
-	}
-	res := graph.NewResidual(n, b.stored)
-	for _, v := range level1 {
-		res.Remove(v)
-	}
-	out := &core.VCCoreset{}
-	out.Levels = append(out.Levels, level1)
-	out.Fixed = append(out.Fixed, level1...)
-	for j := 2; j <= delta-1; j++ {
-		threshold := float64(n) / (float64(b.k) * math.Pow(2, float64(j+1)))
-		peeled := res.RemoveAtLeast(int(math.Ceil(threshold)))
-		out.Levels = append(out.Levels, peeled)
-		out.Fixed = append(out.Fixed, peeled...)
-	}
-	out.Residual = res.LiveEdges()
-	return out
 }
 
 // edcsBuilder is the EDCS machine (arXiv:1711.03076): a dynamic

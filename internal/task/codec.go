@@ -3,6 +3,8 @@ package task
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/graph"
 )
 
 // AppendSummary encodes a machine's end-of-stream summary as the CORESET
@@ -19,12 +21,14 @@ func AppendSummary(dst []byte, d *Descriptor, s Summary) []byte {
 // is field-for-field identical to what the emitting machine's Finish
 // returned — including nil-versus-empty slice shapes, which the seed-parity
 // guarantee (cluster coresets deep-equal in-process ones) depends on — and
-// strict: a truncated field or trailing garbage is an error.
+// strict: a truncated field, a varint longer than its shortest form or
+// trailing garbage is an error, so an accepted payload is exactly what
+// AppendSummary writes for the decoded summary.
 func DecodeSummary(d *Descriptor, data []byte) (Summary, error) {
 	var s Summary
 	vals := make([]uint64, 3)
 	for i := range vals {
-		v, k := binary.Uvarint(data)
+		v, k := graph.Uvarint(data)
 		if k <= 0 {
 			return s, fmt.Errorf("task %s: corrupt CORESET stats", d.Name)
 		}

@@ -58,6 +58,31 @@ type Summary struct {
 	Bytes   int             // encoded message size (simulated estimate)
 }
 
+// CheckIDs reports an error if any vertex id of s lies outside [0, n). The
+// composers index n-sized tables by these ids, so a coordinator checks every
+// summary it decodes from a peer before composing it.
+func (s Summary) CheckIDs(n int) error {
+	bad := func(v graph.ID) bool { return v < 0 || int(v) >= n }
+	// Exactly one coreset field is set; Fixed holds every level's vertices.
+	edges := s.Coreset
+	ids := s.Verts
+	if s.VC != nil {
+		edges = s.VC.Residual
+		ids = s.VC.Fixed
+	}
+	for _, e := range edges {
+		if bad(e.U) || bad(e.V) {
+			return fmt.Errorf("task: summary edge %v outside vertex range [0,%d)", e, n)
+		}
+	}
+	for _, v := range ids {
+		if bad(v) {
+			return fmt.Errorf("task: summary vertex %d outside vertex range [0,%d)", v, n)
+		}
+	}
+	return nil
+}
+
 // Builder is one machine's incremental coreset state. Add is called once
 // per routed edge, in arrival order, by that machine's goroutine (or worker
 // process) only; Finish is called exactly once, after the stream is

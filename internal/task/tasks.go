@@ -168,7 +168,7 @@ func appendVCBody(dst []byte, s Summary) []byte {
 }
 
 func decodeVCBody(s *Summary, data []byte) ([]byte, error) {
-	nLevels, k := binary.Uvarint(data)
+	nLevels, k := graph.Uvarint(data)
 	if k <= 0 || nLevels > uint64(len(data)) {
 		return nil, errCorruptLevels
 	}

@@ -8,7 +8,7 @@ package vcover
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/matching"
@@ -34,7 +34,7 @@ func Verify(n int, edges []graph.Edge, cover []graph.ID) error {
 
 // Dedup sorts and deduplicates a cover in place, returning the result.
 func Dedup(cover []graph.ID) []graph.ID {
-	sort.Slice(cover, func(i, j int) bool { return cover[i] < cover[j] })
+	slices.Sort(cover)
 	out := cover[:0]
 	for i, v := range cover {
 		if i == 0 || v != cover[i-1] {
@@ -46,14 +46,18 @@ func Dedup(cover []graph.ID) []graph.ID {
 
 // FromMatching returns the endpoints of a maximal matching of the edge set,
 // the classic 2-approximation: any vertex cover must contain at least one
-// endpoint of each matched edge.
+// endpoint of each matched edge. The endpoints are read off an ascending
+// scan of the mate array, so the cover comes out sorted and distinct
+// without a sort.
 func FromMatching(n int, edges []graph.Edge) []graph.ID {
 	m := matching.MaximalGreedy(n, edges)
 	out := make([]graph.ID, 0, 2*m.Size())
-	for _, e := range m.Edges() {
-		out = append(out, e.U, e.V)
+	for v, w := range m.Mate {
+		if w != -1 {
+			out = append(out, graph.ID(v))
+		}
 	}
-	return Dedup(out)
+	return out
 }
 
 // GreedyDegree repeatedly adds a maximum-residual-degree vertex to the cover
